@@ -15,8 +15,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import BudgetExceededError, TooLargeError
 from .graphs import SOLVER_MAX_VERTICES, OrientedGraph, canonical, iter_bits
 from . import kernels
@@ -54,7 +52,6 @@ class ArrowResult:
     certificate: OrientedGraph | None
     nodes: int
     n_patterns: int
-    n_embeddings: int
 
 
 def _embedding_order(under):
@@ -154,33 +151,10 @@ def enumerate_copies(g, h, max_embeddings=DEFAULT_EMBED_BUDGET):
     return out
 
 
-def _pattern_arrays(edge_index, patterns):
-    """CSR pattern arrays plus the edge->pattern incidence for the kernel."""
-    pat_ptr = np.zeros(len(patterns) + 1, np.int32)
-    flat_edge = []
-    flat_bit = []
-    for i, pat in enumerate(patterns):
-        for pair, bit in zip(pat.edges, pat.bits):
-            flat_edge.append(edge_index[pair])
-            flat_bit.append(bit)
-        pat_ptr[i + 1] = len(flat_edge)
-    pat_edge = np.array(flat_edge, np.int32)
-    pat_bit = np.array(flat_bit, np.uint8)
-    n_edges = len(edge_index)
-    counts = np.zeros(n_edges + 1, np.int32)
-    for e in flat_edge:
-        counts[e + 1] += 1
-    inc_ptr = np.cumsum(counts).astype(np.int32)
-    inc_pat = np.empty(len(flat_edge), np.int32)
-    inc_bit = np.empty(len(flat_edge), np.uint8)
-    cursor = inc_ptr[:-1].copy()
-    for p in range(len(patterns)):
-        for t in range(pat_ptr[p], pat_ptr[p + 1]):
-            e = pat_edge[t]
-            inc_pat[cursor[e]] = p
-            inc_bit[cursor[e]] = pat_bit[t]
-            cursor[e] += 1
-    return pat_ptr, pat_edge, pat_bit, inc_ptr, inc_pat, inc_bit
+def _literals(edge_index, patterns):
+    """The kernels' encoding: one tuple of (edge, bit) literals per pattern."""
+    return [tuple(zip([edge_index[pair] for pair in pat.edges], pat.bits))
+            for pat in patterns]
 
 
 def _low_high_orientation(g):
@@ -206,60 +180,41 @@ def arrow(g, h, node_budget=DEFAULT_NODE_BUDGET, time_budget=None,
     is never forced (any acyclic orientation of g avoids it), so those
     inputs short-circuit to a false verdict.  Running out of node or time
     budget raises BudgetExceededError rather than guessing.
+
+    time_budget (seconds) bounds the orientation search only; its clock
+    starts after copy enumeration, which embed_budget bounds instead.  The
+    search reads the clock every kernels.DEADLINE_STRIDE nodes.
     """
     if h.n > PATTERN_MAX_VERTICES:
         raise TooLargeError(
             f"pattern on {h.n} vertices exceeds the {PATTERN_MAX_VERTICES}-vertex cap")
     _check_host(g)
     if not h.is_acyclic():
-        return ArrowResult(False, _low_high_orientation(g), 0, 0, 0)
+        return ArrowResult(False, _low_high_orientation(g), 0, 0)
     if h.e == 0:
         if g.n >= h.n:
-            return ArrowResult(True, None, 0, 0, 0)
-        return ArrowResult(False, _low_high_orientation(g), 0, 0, 0)
+            return ArrowResult(True, None, 0, 0)
+        return ArrowResult(False, _low_high_orientation(g), 0, 0)
 
     patterns = enumerate_copies(g, h, max_embeddings=embed_budget)
     if not patterns:
-        return ArrowResult(False, _low_high_orientation(g), 0, 0, 0)
+        return ArrowResult(False, _low_high_orientation(g), 0, 0)
 
     covered = sorted({pair for pat in patterns for pair in pat.edges})
-    cov_index = {pair: i for i, pair in enumerate(covered)}
-    arrays = _pattern_arrays(cov_index, patterns)
-
-    if time_budget is None:
-        status, assignment, nodes = kernels.dpll_orientation_search(
-            len(covered), *arrays, node_budget)
-        if status == kernels.OUT_OF_BUDGET:
-            raise BudgetExceededError(
-                f"orientation search exceeded {node_budget} nodes", nodes=int(nodes))
-    else:
-        # Deterministic anytime behaviour: geometrically growing node
-        # chunks with a wall-clock check between restarts.
-        deadline = time.monotonic() + time_budget
-        chunk = min(4096, node_budget)
-        total_nodes = 0
-        while True:
-            status, assignment, nodes = kernels.dpll_orientation_search(
-                len(covered), *arrays, chunk)
-            total_nodes += int(nodes)
-            if status != kernels.OUT_OF_BUDGET:
-                nodes = total_nodes
-                break
-            if chunk >= node_budget:
-                raise BudgetExceededError(
-                    f"orientation search exceeded {node_budget} nodes",
-                    nodes=total_nodes)
-            if time.monotonic() > deadline:
-                raise BudgetExceededError(
-                    f"orientation search exceeded {time_budget} s",
-                    nodes=total_nodes)
-            chunk = min(chunk * 2, node_budget)
-
-    n_emb = len(patterns)
+    literals = _literals({pair: i for i, pair in enumerate(covered)}, patterns)
+    deadline = None if time_budget is None else time.monotonic() + time_budget
+    status, assignment, nodes = kernels.dpll_orientation_search(
+        len(covered), literals, node_budget, deadline)
+    if status == kernels.OUT_OF_BUDGET:
+        raise BudgetExceededError(
+            f"orientation search exceeded {node_budget} nodes", nodes=nodes)
+    if status == kernels.OUT_OF_TIME:
+        raise BudgetExceededError(
+            f"orientation search exceeded {time_budget} s", nodes=nodes)
     if status == kernels.UNSAT:
-        return ArrowResult(True, None, int(nodes), len(patterns), n_emb)
-    certificate = _certificate_from_assignment(g, covered, assignment.tolist())
-    return ArrowResult(False, certificate, int(nodes), len(patterns), n_emb)
+        return ArrowResult(True, None, nodes, len(patterns))
+    certificate = _certificate_from_assignment(g, covered, assignment)
+    return ArrowResult(False, certificate, nodes, len(patterns))
 
 
 @dataclass(frozen=True)
@@ -275,17 +230,8 @@ def arrow_exhaustive(g, h, max_edges=EXHAUSTIVE_MAX_EDGES):
         raise TooLargeError(f"exhaustive scan capped at {max_edges} edges")
     patterns = enumerate_copies(g, h)
     edge_list = g.edges()
-    edge_index = {pair: i for i, pair in enumerate(edge_list)}
-    pat_mask = np.zeros(len(patterns), np.int64)
-    pat_req = np.zeros(len(patterns), np.int64)
-    for i, pat in enumerate(patterns):
-        for pair, bit in zip(pat.edges, pat.bits):
-            e = edge_index[pair]
-            pat_mask[i] |= np.int64(1) << e
-            if bit:
-                pat_req[i] |= np.int64(1) << e
-    count, first_free = kernels.exhaustive_scan(g.e, pat_mask, pat_req)
-    count, first_free = int(count), int(first_free)
+    literals = _literals({pair: i for i, pair in enumerate(edge_list)}, patterns)
+    count, first_free = kernels.exhaustive_scan(g.e, literals)
     if count == 0:
         return ExhaustiveResult(True, 0, None)
     arcs = []

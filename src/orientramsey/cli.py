@@ -86,6 +86,16 @@ def _float_list(text):
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
 
 
+def _seconds(text):
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number of seconds, got {text!r}")
+    if not value >= 0:          # also rejects nan
+        raise argparse.ArgumentTypeError(f"expected a non-negative number, got {text!r}")
+    return value
+
+
 def _add_run_flags(parser, top_level):
     """Shared flags, usable before or after the subcommand.  Subparsers
     use SUPPRESS defaults so they don't clobber values parsed up front."""
@@ -95,7 +105,7 @@ def _add_run_flags(parser, top_level):
     parser.add_argument("--budget-nodes", type=int,
                         default=2_000_000 if top_level else miss,
                         help="search node budget per solver call")
-    parser.add_argument("--budget-seconds", type=float,
+    parser.add_argument("--budget-seconds", type=_seconds,
                         default=None if top_level else miss,
                         help="wall-clock budget per solver call")
     parser.add_argument("--out-dir",
@@ -388,15 +398,31 @@ def run_command(argv):
     return code, stdout_text
 
 
+def _check_manifest(manifest):
+    """Raise ValueError unless manifest holds the fields that rerun replays."""
+    if not isinstance(manifest, dict):
+        raise ValueError("manifest must be a JSON object")
+    argv = manifest.get("argv")
+    if not isinstance(argv, list) or not all(isinstance(tok, str) for tok in argv):
+        raise ValueError("manifest field 'argv' must be a list of strings")
+    outputs = manifest.get("outputs")
+    if not isinstance(outputs, dict) or not all(isinstance(v, str) for v in outputs.values()):
+        raise ValueError("manifest field 'outputs' must map file names to digests")
+    if not isinstance(manifest.get("exit_code"), int):
+        raise ValueError("manifest field 'exit_code' must be an integer")
+    if not isinstance(manifest.get("stdout_sha256"), str):
+        raise ValueError("manifest field 'stdout_sha256' must be a string")
+
+
 def _rerun(args):
     try:
         with open(args.manifest_file, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        _check_manifest(manifest)
+    except (OSError, ValueError) as exc:
         return EXIT_BAD_INPUT, json.dumps(
             {"command": "rerun", "error": str(exc)}, sort_keys=True, indent=2) + "\n"
-    argv = list(manifest["argv"]) + ["--out-dir", args.out_dir,
-                                     "--manifest", args.manifest]
+    argv = manifest["argv"] + ["--out-dir", args.out_dir, "--manifest", args.manifest]
     code, stdout_text = run_command(argv)
     replay = {
         "exit_code": code == manifest["exit_code"],

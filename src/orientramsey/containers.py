@@ -94,9 +94,6 @@ class PowerSum:
         return PowerSum(self.base,
                         tuple((e + exponent, c * coefficient) for e, c in self.terms))
 
-    def to_float(self):
-        return float(sum(float(c) * self.base ** float(e) for e, c in self.terms))
-
     def exact_str(self):
         """Exact text form, e.g. '2/3*n^(1/2) + 5'."""
         if not self.terms:

@@ -89,10 +89,6 @@ class Graph:
     def degree(self, u):
         return self.rows[u].bit_count()
 
-    def neighbors(self, u):
-        """Neighbourhood of u as a bit mask."""
-        return self.rows[u]
-
     def edges(self):
         """Sorted list of edges as (u, v) pairs with u < v."""
         out = []
@@ -219,14 +215,6 @@ class OrientedGraph:
 
     def with_root(self, root):
         return OrientedGraph.from_arcs(self.n, self.arcs, root)
-
-    def isolated_free_vertices(self):
-        """Vertices touched by at least one arc."""
-        touched = set()
-        for u, v in self.arcs:
-            touched.add(u)
-            touched.add(v)
-        return sorted(touched)
 
 
 def underlying(d):

@@ -2,9 +2,8 @@
 PASS/FAIL line (run with -s or read the captured output).
 
 Criterion 7 is the long pole: a fixed-seed Monte Carlo sweep of the
-transitive-triangle arrow probability over five host sizes.  On a desktop
-with the JIT kernels it takes a couple of minutes; the stated ceiling is
-two hours.
+transitive-triangle arrow probability over five host sizes.  It takes
+under a minute on a 2-vCPU machine; the stated ceiling is two hours.
 """
 
 import itertools

@@ -9,11 +9,13 @@ from orientramsey import (BudgetExceededError, Graph, OrientedGraph,
                           in_out_star, oriented_ramsey_number,
                           transitive_tournament, verify_certificate)
 from orientramsey.constructions import rooted_tt3_variants
+from orientramsey.experiments import sample_gnp
 from orientramsey.witness import chromatic_number
 
 from conftest import brute_arrow, brute_contains, random_graph
 
 TT3 = transitive_tournament(3)
+TT4 = transitive_tournament(4)
 PATTERNS = [TT3, directed_path(3), directed_path(4), in_out_star(1, 2)]
 
 
@@ -126,6 +128,27 @@ def test_arrow_budget_error():
 def test_arrow_time_budget_chunking():
     res = arrow(complete_graph(4), TT3, time_budget=60.0)
     assert res.verdict
+
+
+def test_arrow_pinned_node_counts():
+    """Search sizes on fixed hard instances; they move only if the
+    decision rule or the propagation changes."""
+    assert arrow(complete_graph(8), TT4).nodes == 1222
+    assert arrow(complete_graph(9), TT4).nodes == 1574
+    res = arrow(sample_gnp(30, 0.5, 1), TT4)
+    assert (res.verdict, res.nodes) == (False, 6492)
+
+
+def test_arrow_time_budget_runs_one_search():
+    """A generous deadline leaves the search and its node count as they are."""
+    res = arrow(sample_gnp(30, 0.5, 1), TT4, time_budget=60.0)
+    assert (res.verdict, res.nodes) == (False, 6492)
+
+
+def test_arrow_expired_time_budget_stops_at_first_clock_read():
+    with pytest.raises(BudgetExceededError) as err:
+        arrow(sample_gnp(30, 0.5, 1), TT4, time_budget=0)
+    assert err.value.nodes <= 1025
 
 
 def test_certificate_verification_rejects_wrong_inputs():

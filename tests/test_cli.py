@@ -121,9 +121,13 @@ def test_containers_profile_cli(k4_and_tt3):
     assert "." not in "".join(lines[1:])        # exact strings, no floats
 
 
-def test_exit_code_usage():
+def test_exit_code_usage(k4_and_tt3):
     with pytest.raises(SystemExit) as err:
         run_command(["no-such-command"])
+    assert err.value.code == 2
+    k4, tt3, tmp = k4_and_tt3
+    with pytest.raises(SystemExit) as err:
+        run_command(["--out-dir", str(tmp), "arrow", k4, tt3, "--budget-seconds", "-1"])
     assert err.value.code == 2
 
 
@@ -148,6 +152,13 @@ def test_exit_code_malformed(tmp_path):
     code, _ = run_command(["--out-dir", str(tmp_path), "density",
                            str(tmp_path / "missing.txt")])
     assert code == 4
+    # manifests without a replayable argv
+    for manifest in ({"argv": 5}, {}, {"argv": ["density", 3]}):
+        path = tmp_path / "manifest_bad.json"
+        path.write_text(json.dumps(manifest))
+        code, out = run_command(["rerun", str(path), "--out-dir", str(tmp_path / "re")])
+        assert code == 4
+        assert "error" in json.loads(out)
 
 
 def test_sweep_and_manifest_rerun(tmp_path):

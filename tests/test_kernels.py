@@ -1,59 +1,237 @@
-import os
-import subprocess
-import sys
 import random
 
 import numpy as np
-import pytest
 
-from orientramsey import complete_graph, transitive_tournament
-from orientramsey.arrow import _pattern_arrays, enumerate_copies
+from orientramsey import (directed_path, in_out_star, transitive_tournament,
+                          OrientedGraph, complete_graph)
+from orientramsey.arrow import _literals, enumerate_copies
+from orientramsey.experiments import sample_gnp
 from orientramsey import kernels
 
 from conftest import random_graph
 
 
+# ---------------------------------------------------------------------------
+# Test-only references: the scalar DPLL kernel over CSR pattern arrays and
+# the loop form of the exhaustive scan.  The kernels under test must agree
+# with them exactly.
+
+def _reference_arrays(n_edges, literals):
+    """CSR pattern arrays plus the edge->pattern incidence."""
+    pat_ptr = np.zeros(len(literals) + 1, np.int32)
+    flat_edge = []
+    flat_bit = []
+    for i, lits in enumerate(literals):
+        for e, bit in lits:
+            flat_edge.append(e)
+            flat_bit.append(bit)
+        pat_ptr[i + 1] = len(flat_edge)
+    pat_edge = np.array(flat_edge, np.int32)
+    pat_bit = np.array(flat_bit, np.uint8)
+    counts = np.zeros(n_edges + 1, np.int32)
+    for e in flat_edge:
+        counts[e + 1] += 1
+    inc_ptr = np.cumsum(counts).astype(np.int32)
+    inc_pat = np.empty(len(flat_edge), np.int32)
+    inc_bit = np.empty(len(flat_edge), np.uint8)
+    cursor = inc_ptr[:-1].copy()
+    for p in range(len(literals)):
+        for t in range(pat_ptr[p], pat_ptr[p + 1]):
+            e = pat_edge[t]
+            inc_pat[cursor[e]] = p
+            inc_bit[cursor[e]] = pat_bit[t]
+            cursor[e] += 1
+    return pat_ptr, pat_edge, pat_bit, inc_ptr, inc_pat, inc_bit
+
+
+def _reference_dpll(n_edges, pat_ptr, pat_edge, pat_bit,
+                    inc_ptr, inc_pat, inc_bit, node_budget):
+    """Scalar DPLL with per-pattern counters and trail-based undo.
+
+    Same decision rule as the kernel: highest near-completion score, lowest
+    edge on ties, value 0 first, chronological backtracking.
+    """
+    n_pat = pat_ptr.shape[0] - 1
+    assign = np.full(n_edges, -1, np.int8)
+    unassigned = np.empty(n_pat, np.int32)
+    mismatch = np.zeros(n_pat, np.int32)
+    for p in range(n_pat):
+        unassigned[p] = pat_ptr[p + 1] - pat_ptr[p]
+    trail = np.empty(n_edges + 1, np.int32)
+    trail_len = 0
+    dec_edge = np.empty(n_edges + 1, np.int32)
+    dec_val = np.empty(n_edges + 1, np.int8)
+    dec_flipped = np.empty(n_edges + 1, np.uint8)
+    dec_trail = np.empty(n_edges + 2, np.int32)
+    n_dec = 0
+    queue = np.empty(n_pat + n_edges + 8, np.int64)
+    q_len = 0
+    score = np.zeros(n_edges, np.int64)
+    nodes = 0
+
+    for p in range(n_pat):
+        if unassigned[p] == 1:
+            t = pat_ptr[p]
+            queue[q_len] = (np.int64(pat_edge[t]) << 1) | (1 - pat_bit[t])
+            q_len += 1
+
+    while True:
+        conflict = False
+        qi = 0
+        while qi < q_len:
+            lit = queue[qi]
+            qi += 1
+            e = np.int32(lit >> 1)
+            v = np.int8(lit & 1)
+            if assign[e] == v:
+                continue
+            if assign[e] == 1 - v:
+                conflict = True
+                break
+            assign[e] = v
+            trail[trail_len] = e
+            trail_len += 1
+            # every incidence of e must be counted even after a conflict,
+            # or the backtracking undo would corrupt the counters
+            for k in range(inc_ptr[e], inc_ptr[e + 1]):
+                p = inc_pat[k]
+                unassigned[p] -= 1
+                if v != inc_bit[k]:
+                    mismatch[p] += 1
+                elif mismatch[p] == 0:
+                    if unassigned[p] == 0:
+                        conflict = True
+                    elif unassigned[p] == 1:
+                        for t in range(pat_ptr[p], pat_ptr[p + 1]):
+                            e2 = pat_edge[t]
+                            if assign[e2] < 0:
+                                queue[q_len] = (np.int64(e2) << 1) | (1 - pat_bit[t])
+                                q_len += 1
+                                break
+            if conflict:
+                break
+        q_len = 0
+
+        if conflict:
+            while True:
+                if n_dec == 0:
+                    return kernels.UNSAT, assign, nodes
+                target = dec_trail[n_dec - 1]
+                while trail_len > target:
+                    trail_len -= 1
+                    e = trail[trail_len]
+                    v = assign[e]
+                    assign[e] = -1
+                    for k in range(inc_ptr[e], inc_ptr[e + 1]):
+                        p = inc_pat[k]
+                        unassigned[p] += 1
+                        if v != inc_bit[k]:
+                            mismatch[p] -= 1
+                if dec_flipped[n_dec - 1] == 0:
+                    dec_flipped[n_dec - 1] = 1
+                    v2 = 1 - dec_val[n_dec - 1]
+                    dec_val[n_dec - 1] = v2
+                    nodes += 1
+                    if nodes > node_budget:
+                        return kernels.OUT_OF_BUDGET, assign, nodes
+                    queue[0] = (np.int64(dec_edge[n_dec - 1]) << 1) | v2
+                    q_len = 1
+                    break
+                n_dec -= 1
+            continue
+
+        if trail_len == n_edges:
+            return kernels.SAT, assign, nodes
+
+        for e in range(n_edges):
+            score[e] = 0
+        for p in range(n_pat):
+            if mismatch[p] == 0:
+                u = unassigned[p]
+                shift = 2 * (12 - u)
+                if shift < 0:
+                    shift = 0
+                if shift > 40:
+                    shift = 40
+                w = np.int64(1) << shift
+                for t in range(pat_ptr[p], pat_ptr[p + 1]):
+                    e = pat_edge[t]
+                    if assign[e] < 0:
+                        score[e] += w
+        best = -1
+        best_score = np.int64(-1)
+        for e in range(n_edges):
+            if assign[e] < 0 and score[e] > best_score:
+                best = e
+                best_score = score[e]
+        nodes += 1
+        if nodes > node_budget:
+            return kernels.OUT_OF_BUDGET, assign, nodes
+        dec_edge[n_dec] = best
+        dec_val[n_dec] = 0
+        dec_flipped[n_dec] = 0
+        dec_trail[n_dec] = trail_len
+        n_dec += 1
+        queue[0] = np.int64(best) << 1
+        q_len = 1
+
+
+def _reference_scan(n_edges, literals):
+    """Loop over all 2^n_edges orientations; (free count, first free mask)."""
+    pat_mask = [sum(1 << e for e, _ in lits) for lits in literals]
+    pat_req = [sum(v << e for e, v in lits) for lits in literals]
+    count, first_free = 0, -1
+    for mask in range(1 << n_edges):
+        if all(mask & pm != pr for pm, pr in zip(pat_mask, pat_req)):
+            count += 1
+            if first_free < 0:
+                first_free = mask
+    return count, first_free
+
+
+# ---------------------------------------------------------------------------
+
 def _instance(g, h):
+    """(covered edge count, literals) as arrow hands them to the kernel."""
     patterns = enumerate_copies(g, h)
     covered = sorted({pair for p in patterns for pair in p.edges})
-    idx = {pair: i for i, pair in enumerate(covered)}
-    return len(covered), _pattern_arrays(idx, patterns)
+    return len(covered), _literals({pair: i for i, pair in enumerate(covered)}, patterns)
 
 
-def _mask_instance(g, h):
-    patterns = enumerate_copies(g, h)
-    idx = {pair: i for i, pair in enumerate(g.edges())}
-    pat_mask = np.zeros(len(patterns), np.int64)
-    pat_req = np.zeros(len(patterns), np.int64)
-    for i, pat in enumerate(patterns):
-        for pair, bit in zip(pat.edges, pat.bits):
-            pat_mask[i] |= np.int64(1) << idx[pair]
-            if bit:
-                pat_req[i] |= np.int64(1) << idx[pair]
-    return g.e, pat_mask, pat_req
+def _assignment_is_free(assign, literals):
+    return not any(all(assign[e] == v for e, v in lits) for lits in literals)
 
 
-def _assignment_is_free(assign, arrays):
-    pat_ptr, pat_edge, pat_bit = arrays[:3]
-    for p in range(len(pat_ptr) - 1):
-        if all(assign[pat_edge[t]] == pat_bit[t]
-               for t in range(pat_ptr[p], pat_ptr[p + 1])):
-            return False
-    return True
+def _agree(n_edges, literals, node_budget=10**6):
+    status, assign, nodes = kernels.dpll_orientation_search(n_edges, literals, node_budget)
+    ref_status, ref_assign, ref_nodes = _reference_dpll(
+        n_edges, *_reference_arrays(n_edges, literals), node_budget)
+    assert (status, nodes) == (int(ref_status), int(ref_nodes))
+    if status == kernels.SAT:
+        assert assign == ref_assign.tolist()
+        assert _assignment_is_free(assign, literals)
+    return status
 
 
-def test_python_and_selected_paths_agree():
+def test_kernel_matches_reference():
+    """Status, node count and SAT assignment equal the scalar reference's,
+    on seeded small hosts (single-arc and two-arc patterns included, so
+    width-1 units and isolated pattern vertices are covered) and on TT3
+    sweep hosts at n = 40."""
     rng = random.Random(99)
-    tt3 = transitive_tournament(3)
+    patterns = [transitive_tournament(3), directed_path(3), directed_path(4),
+                in_out_star(1, 2), OrientedGraph.from_arcs(3, [(0, 1)]),
+                OrientedGraph.from_arcs(4, [(0, 1), (2, 3)])]
+    statuses = set()
     for _ in range(40):
         g = random_graph(rng, rng.randint(3, 9), 14)
-        n_edges, arrays = _instance(g, tt3)
-        s1, a1, n1 = kernels.dpll_python(n_edges, *arrays, 10**6)
-        s2, a2, n2 = kernels.dpll_orientation_search(n_edges, *arrays, 10**6)
-        assert (int(s1), int(n1)) == (int(s2), int(n2))
-        if s1 == kernels.SAT:
-            assert a1.tolist() == a2.tolist()
-            assert _assignment_is_free(a1, arrays)
+        for h in patterns:
+            n_edges, literals = _instance(g, h)
+            if literals:
+                statuses.add(_agree(n_edges, literals))
+    for seed, p in enumerate((0.12, 0.15, 0.18, 0.2, 0.22, 0.25)):
+        statuses.add(_agree(*_instance(sample_gnp(40, p, seed), transitive_tournament(3))))
+    assert statuses == {kernels.SAT, kernels.UNSAT}
 
 
 def test_scan_paths_agree():
@@ -61,39 +239,16 @@ def test_scan_paths_agree():
     tt3 = transitive_tournament(3)
     for _ in range(25):
         g = random_graph(rng, rng.randint(3, 7), 12)
-        n_edges, pat_mask, pat_req = _mask_instance(g, tt3)
-        loop = kernels.exhaustive_scan_python(n_edges, pat_mask, pat_req)
-        vect = kernels.exhaustive_scan_numpy(n_edges, pat_mask, pat_req)
-        selected = kernels.exhaustive_scan(n_edges, pat_mask, pat_req)
-        assert (int(loop[0]), int(loop[1])) == (int(vect[0]), int(vect[1]))
-        assert (int(loop[0]), int(loop[1])) == (int(selected[0]), int(selected[1]))
+        patterns = enumerate_copies(g, tt3)
+        literals = _literals({pair: i for i, pair in enumerate(g.edges())}, patterns)
+        assert kernels.exhaustive_scan(g.e, literals) == _reference_scan(g.e, literals)
 
 
 def test_dpll_budget_status():
-    n_edges, arrays = _instance(complete_graph(4), transitive_tournament(3))
-    status, _, nodes = kernels.dpll_python(n_edges, *arrays, 0)
+    n_edges, literals = _instance(complete_graph(4), transitive_tournament(3))
+    status, _, nodes = kernels.dpll_orientation_search(n_edges, literals, 0)
     assert status == kernels.OUT_OF_BUDGET
     assert nodes == 1
-
-
-def test_env_flag_disables_jit():
-    code = (
-        "from orientramsey import arrow, complete_graph, transitive_tournament\n"
-        "from orientramsey import kernels\n"
-        "assert not kernels.jit_enabled()\n"
-        "assert kernels.exhaustive_scan is kernels.exhaustive_scan_numpy\n"
-        "assert arrow(complete_graph(4), transitive_tournament(3)).verdict\n"
-        "print('fallback ok')\n"
-    )
-    env = dict(os.environ, **{kernels.JIT_ENV_FLAG: "1"})
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert "fallback ok" in out.stdout
-
-
-def test_jit_enabled_in_default_environment():
-    # the hot path for this machine: numba is installed and the flag unset
-    if kernels.numba is None or not kernels.jit_requested():
-        pytest.skip("numba unavailable or disabled by the environment")
-    assert kernels.jit_enabled()
+    # the node budget cuts the search at the same node as the reference
+    for budget in (1, 2, 5):
+        assert _agree(n_edges, literals, budget) == kernels.OUT_OF_BUDGET
