@@ -3,17 +3,21 @@
 An orientation of G contains a copy of H exactly when it realizes one of
 the "copy patterns" of H in G: a concrete set of G-edges together with
 one direction bit per edge such that the resulting arcs are isomorphic to
-H.  The solver enumerates every pattern once (deduplicated over the
-automorphisms of H) and then decides, by propagation-driven backtracking
-over edge directions, whether some orientation avoids them all.  A found
-orientation is the falsity certificate; exhaustion of the search proves
-the arrow relation.
+H.  The solver enumerates every pattern once (each copy of H's underlying
+graph is found once and carries one pattern per orientation isomorphic to
+H) and then decides, by propagation-driven backtracking over edge
+directions, whether some orientation avoids them all.  A found orientation
+is the falsity certificate; exhaustion of the search proves the arrow
+relation.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import xor
+from typing import NamedTuple
 
 from .errors import BudgetExceededError, TooLargeError
 from .graphs import SOLVER_MAX_VERTICES, OrientedGraph, canonical, iter_bits
@@ -25,23 +29,23 @@ DEFAULT_EMBED_BUDGET = 5_000_000
 EXHAUSTIVE_MAX_EDGES = 22
 
 
-def _check_host(g):
+def _check_sizes(g, h):
+    if h.n > PATTERN_MAX_VERTICES:
+        raise TooLargeError(
+            f"pattern on {h.n} vertices exceeds the {PATTERN_MAX_VERTICES}-vertex cap")
     if g.n > SOLVER_MAX_VERTICES:
         raise TooLargeError(
             f"host on {g.n} vertices exceeds the {SOLVER_MAX_VERTICES}-vertex "
             f"cap of the exact solver paths")
 
 
-@dataclass(frozen=True)
-class CopyPattern:
+class CopyPattern(NamedTuple):
     """One forbidden orientation: host edges plus direction bits.
 
-    vertices is a representative embedding (image of pattern vertex i);
     edges are host pairs (u, v) with u < v and bits[i] = 0 means the arc
     runs u -> v.
     """
 
-    vertices: tuple
     edges: tuple
     bits: tuple
 
@@ -55,99 +59,129 @@ class ArrowResult:
 
 
 def _embedding_order(under):
-    """Pattern-vertex placement order: anchored-first, isolated last."""
+    """Placement order of the non-isolated pattern vertices, anchored first."""
     degs = [under.degree(v) for v in range(under.n)]
     noniso = [v for v in range(under.n) if degs[v] > 0]
-    iso = [v for v in range(under.n) if degs[v] == 0]
     order = []
-    placed = set()
-    while len(order) < len(noniso):
-        best_key, best_v = None, None
-        for v in noniso:
-            if v in placed:
-                continue
-            anchored = sum(1 for w in iter_bits(under.rows[v]) if w in placed)
-            key = (anchored, degs[v], -v)
-            if best_key is None or key > best_key:
-                best_key, best_v = key, v
-        order.append(best_v)
-        placed.add(best_v)
-    return order, iso
+    for _ in noniso:
+        order.append(max((v for v in noniso if v not in order), key=lambda v: (
+            sum(w in order for w in iter_bits(under.rows[v])), degs[v], -v)))
+    return order
+
+
+@lru_cache(maxsize=32)
+def _plan(h):
+    """h's non-isolated vertices as positions 0..k-1 in placement order:
+    back[i] lists the earlier positions adjacent to position i in the
+    underlying graph U, adj[i] is i's neighbour mask in U, edges are U's
+    edges as position pairs (j, i) with j < i, arcs are h's arcs."""
+    under = h.underlying()
+    order = _embedding_order(under)
+    pos = {v: i for i, v in enumerate(order)}
+    back = tuple(tuple(sorted(pos[w] for w in iter_bits(under.rows[v]) if pos[w] < i))
+                 for i, v in enumerate(order))
+    adj = tuple(sum(1 << pos[w] for w in iter_bits(under.rows[v])) for v in order)
+    edges = tuple((j, i) for i in range(len(order)) for j in back[i])
+    return back, adj, edges, frozenset((pos[u], pos[v]) for u, v in h.arcs)
+
+
+class _Symmetry(NamedTuple):
+    above: tuple      # above[i]: positions whose images must lie below position i's
+    rows: tuple       # distinct orientations of U isomorphic to h, one bit per plan edge
+    placements: int   # placements spent listing Aut(U)
+
+
+@lru_cache(maxsize=32)
+def _symmetry(h):
+    """Aut(U), listed by embedding U into U, as enumerate_copies uses it:
+    the Grochow-Kellis conditions (a position's image lies below the rest of
+    its orbit under the stabiliser of the earlier positions) and one row of
+    edge bits per distinct image of h.  Capped at DEFAULT_EMBED_BUDGET."""
+    back, adj, edges, arcs = _plan(h)
+    autos = []
+    placements = _embed(adj, len(back), back, DEFAULT_EMBED_BUDGET,
+                        lambda x, _: autos.append(tuple(x)))
+    above = [[] for _ in back]
+    stabiliser = autos
+    for i in range(len(back)):
+        for w in {s[i] for s in stabiliser} - {i}:
+            above[w].append(i)
+        stabiliser = [s for s in stabiliser if s[i] == i]
+    rows = dict.fromkeys(
+        tuple(int((j, i) not in image) for j, i in edges)
+        for image in ({(s[a], s[b]) for a, b in arcs} for s in autos))
+    return _Symmetry(tuple(map(tuple, above)), tuple(rows), placements)
+
+
+def _embed(adj, n, back, cap, leaf, h=None):
+    """Call leaf(x, table) on each injective placement x of the plan
+    positions on vertices 0..n-1 (adj[v]: neighbour mask) with x[i] adjacent
+    to x[j] for j in back[i]; return the placements made, raising past cap.
+
+    Given h, its _Symmetry table is looked up at the first full placement.
+    Candidates are tried in increasing order, so that placement is the least
+    and meets every condition x[v] < x[i] (v in above[i]), as do the ones
+    still open above it; from there on the conditions prune the search to
+    one leaf per copy of U.  The table's placements count on every call."""
+    k = len(back)
+    x = [0] * k
+    steps = 0
+    table = None
+    over = f"copy enumeration exceeded {cap} placements"
+
+    def place(i, free):
+        nonlocal steps, table
+        if i == k:
+            if table is None and h is not None:
+                table = _symmetry(h)
+                steps += table.placements
+                if steps > cap:
+                    raise BudgetExceededError(over)
+            leaf(x, table)
+            return
+        cand = free
+        for j in back[i]:
+            cand &= adj[x[j]]
+        if table is not None and table.above[i]:
+            cand &= -1 << max(x[v] for v in table.above[i]) + 1
+        steps += cand.bit_count()
+        if steps > cap:
+            raise BudgetExceededError(over)
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            x[i] = low.bit_length() - 1
+            place(i + 1, free ^ low)
+
+    place(0, (1 << n) - 1)
+    return steps
 
 
 def enumerate_copies(g, h, max_embeddings=DEFAULT_EMBED_BUDGET):
-    """All copy patterns of h in g, deduplicated over Aut(h).
+    """All copy patterns of h in g, each exactly once.
 
-    Patterns come back sorted by (edges, bits); each keeps the first
-    embedding found as its representative, so output is deterministic.
+    Each copy of h's underlying graph is found once and yields one pattern
+    per distinct orientation of it isomorphic to h.  The order is
+    deterministic (search order, then table row order) but not sorted.
+    max_embeddings bounds the placements, the symmetry table's included.
     """
-    if h.n > PATTERN_MAX_VERTICES:
-        raise TooLargeError(
-            f"pattern on {h.n} vertices exceeds the {PATTERN_MAX_VERTICES}-vertex cap")
-    _check_host(g)
-    under = h.underlying()
-    edge_index = {pair: i for i, pair in enumerate(g.edges())}
-    edge_list = g.edges()
-    order, iso = _embedding_order(under)
-    full_host = (1 << g.n) - 1
-
-    if h.e == 0:
-        if g.n >= h.n:
-            return [CopyPattern(tuple(range(h.n)), (), ())]
+    _check_sizes(g, h)
+    if g.n < h.n:
         return []
-
-    images = [-1] * h.n
-    patterns = {}
-    steps = 0
-
-    def record():
-        key_pairs = []
-        for u, v in h.arcs:
-            a, b = images[u], images[v]
-            if a < b:
-                key_pairs.append((edge_index[(a, b)], 0))
-            else:
-                key_pairs.append((edge_index[(b, a)], 1))
-        key_pairs.sort()
-        key = tuple(key_pairs)
-        if key not in patterns:
-            filled = list(images)
-            unused = (v for v in range(g.n) if not used_mask[0] >> v & 1)
-            for v in iso:
-                filled[v] = next(unused)
-            patterns[key] = tuple(filled)
-
-    used_mask = [0]
-
-    def place(i):
-        nonlocal steps
-        if i == len(order):
-            if g.n - used_mask[0].bit_count() >= len(iso):
-                record()
-            return
-        v = order[i]
-        cand = full_host & ~used_mask[0]
-        for w in iter_bits(under.rows[v]):
-            if images[w] >= 0:
-                cand &= g.rows[images[w]]
-        for x in iter_bits(cand):
-            steps += 1
-            if steps > max_embeddings:
-                raise BudgetExceededError(
-                    f"copy enumeration exceeded {max_embeddings} placements")
-            images[v] = x
-            used_mask[0] |= 1 << x
-            place(i + 1)
-            images[v] = -1
-            used_mask[0] ^= 1 << x
-    place(0)
-
+    if h.e == 0:
+        return [CopyPattern((), ())]
+    back, _, edges, _ = _plan(h)
     out = []
-    for key in sorted(patterns):
-        idxs, bits = zip(*key) if key else ((), ())
-        out.append(CopyPattern(patterns[key],
-                               tuple(edge_list[i] for i in idxs),
-                               tuple(bits)))
+    bits_by_flips = {}
+
+    def emit(x, table):
+        pairs = tuple((x[j], x[i]) if x[j] < x[i] else (x[i], x[j]) for j, i in edges)
+        flips = tuple(x[j] > x[i] for j, i in edges)
+        if flips not in bits_by_flips:
+            bits_by_flips[flips] = [tuple(map(xor, row, flips)) for row in table.rows]
+        out.extend([CopyPattern(pairs, bits) for bits in bits_by_flips[flips]])
+
+    _embed(g.rows, g.n, back, max_embeddings, emit, h)
     return out
 
 
@@ -185,10 +219,7 @@ def arrow(g, h, node_budget=DEFAULT_NODE_BUDGET, time_budget=None,
     starts after copy enumeration, which embed_budget bounds instead.  The
     search reads the clock every kernels.DEADLINE_STRIDE nodes.
     """
-    if h.n > PATTERN_MAX_VERTICES:
-        raise TooLargeError(
-            f"pattern on {h.n} vertices exceeds the {PATTERN_MAX_VERTICES}-vertex cap")
-    _check_host(g)
+    _check_sizes(g, h)
     if not h.is_acyclic():
         return ArrowResult(False, _low_high_orientation(g), 0, 0)
     if h.e == 0:
@@ -248,8 +279,7 @@ def contains_copy(d, h):
         return d.n >= h.n
     if d.n < h.n:
         return False
-    under = h.underlying()
-    order, iso = _embedding_order(under)
+    order = _embedding_order(h.underlying())
     out_masks = [d.out_mask(v) for v in range(d.n)]
     in_masks = [d.in_mask(v) for v in range(d.n)]
     h_out = [h.out_mask(v) for v in range(h.n)]
@@ -259,7 +289,7 @@ def contains_copy(d, h):
 
     def place(i, used):
         if i == len(order):
-            return d.n - used.bit_count() >= len(iso)
+            return True     # d.n >= h.n leaves room for h's isolated vertices
         v = order[i]
         cand = full & ~used
         for w in iter_bits(h_out[v]):
@@ -280,44 +310,14 @@ def contains_copy(d, h):
 
 
 def count_copies(d, h, max_embeddings=DEFAULT_EMBED_BUDGET):
-    """Number of distinct arc subsets of d isomorphic to h."""
+    """Number of distinct arc subsets of d isomorphic to h: the copy
+    patterns of h in d's underlying graph that d realizes."""
     if h.e == 0:
         raise ValueError("copy counting needs a pattern with at least one arc")
-    under = h.underlying()
-    order, iso = _embedding_order(under)
-    out_masks = [d.out_mask(v) for v in range(d.n)]
-    in_masks = [d.in_mask(v) for v in range(d.n)]
-    h_out = [h.out_mask(v) for v in range(h.n)]
-    h_in = [h.in_mask(v) for v in range(h.n)]
-    images = [-1] * h.n
-    full = (1 << d.n) - 1
-    found = set()
-    steps = 0
-
-    def place(i, used):
-        nonlocal steps
-        if i == len(order):
-            if d.n - used.bit_count() >= len(iso):
-                found.add(frozenset((images[u], images[v]) for u, v in h.arcs))
-            return
-        v = order[i]
-        cand = full & ~used
-        for w in iter_bits(h_out[v]):
-            if images[w] >= 0:
-                cand &= in_masks[images[w]]
-        for w in iter_bits(h_in[v]):
-            if images[w] >= 0:
-                cand &= out_masks[images[w]]
-        for x in iter_bits(cand):
-            steps += 1
-            if steps > max_embeddings:
-                raise BudgetExceededError("copy counting exceeded its budget")
-            images[v] = x
-            place(i + 1, used | (1 << x))
-            images[v] = -1
-
-    place(0, 0)
-    return len(found)
+    arcs = set(d.arcs)
+    return sum(all(((u, v) if b == 0 else (v, u)) in arcs
+                   for (u, v), b in zip(pat.edges, pat.bits))
+               for pat in enumerate_copies(d.underlying(), h, max_embeddings))
 
 
 def verify_certificate(g, h, cert):

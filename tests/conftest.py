@@ -23,6 +23,18 @@ def brute_contains(d, h):
     return False
 
 
+def brute_copies(g, h):
+    """Arc sets of the copies of h in the graph g: the images of h's arcs
+    under every injective map that sends each arc of h onto an edge of g."""
+    edges = set(g.edges())
+    found = set()
+    for image in itertools.permutations(range(g.n), h.n):
+        arcs = [(image[u], image[v]) for u, v in h.arcs]
+        if all((min(a, b), max(a, b)) in edges for a, b in arcs):
+            found.add(frozenset(arcs))
+    return found
+
+
 def all_orientations(g):
     edges = g.edges()
     for bits in itertools.product((0, 1), repeat=len(edges)):

@@ -1,4 +1,7 @@
+import importlib
+import itertools
 import random
+import time
 
 import pytest
 
@@ -6,16 +9,19 @@ from orientramsey import (BudgetExceededError, Graph, OrientedGraph,
                           TooLargeError, arrow, arrow_exhaustive, canonical,
                           complete_graph, contains_copy, count_copies,
                           cycle_graph, directed_path, enumerate_copies,
-                          in_out_star, oriented_ramsey_number,
+                          in_out_star, nonisomorphic_oriented_graphs,
+                          oriented_ramsey_number,
                           transitive_tournament, verify_certificate)
 from orientramsey.constructions import rooted_tt3_variants
 from orientramsey.experiments import sample_gnp
 from orientramsey.witness import chromatic_number
 
-from conftest import brute_arrow, brute_contains, random_graph
+from conftest import (brute_arrow, brute_contains, brute_copies, random_graph,
+                      random_oriented)
 
 TT3 = transitive_tournament(3)
 TT4 = transitive_tournament(4)
+ARROW_MODULE = importlib.import_module("orientramsey.arrow")
 PATTERNS = [TT3, directed_path(3), directed_path(4), in_out_star(1, 2)]
 
 
@@ -40,6 +46,71 @@ def test_enumerate_copies_triangle_free_host():
 def test_enumerate_copies_deterministic():
     g = random_graph(random.Random(3), 7, 12)
     assert enumerate_copies(g, TT3) == enumerate_copies(g, TT3)
+
+
+def test_enumerate_copies_matches_brute_force():
+    """Each copy exactly once, against injective maps: every acyclic
+    oriented graph on 2-4 vertices with an arc (isolated vertices and
+    disconnected patterns included) and TT5, on seeded hosts."""
+    patterns = [h for n in (2, 3, 4) for h in nonisomorphic_oriented_graphs(n)
+                if h.e and h.is_acyclic()]
+    assert len(patterns) == 36
+    hosts = [sample_gnp(n, p, seed) for n in range(4, 9)
+             for seed, p in ((1, 0.5), (2, 0.8))]
+    for g in hosts:
+        for h in patterns + [transitive_tournament(5)]:
+            pats = enumerate_copies(g, h)
+            arc_sets = [frozenset((u, v) if b == 0 else (v, u)
+                                  for (u, v), b in zip(p.edges, p.bits)) for p in pats]
+            assert len(set(arc_sets)) == len(pats)
+            assert set(arc_sets) == brute_copies(g, h)
+
+
+def test_arrow_calls_module_level_enumerate_copies(monkeypatch):
+    """perfbench traces copy enumeration by wrapping this module attribute."""
+    calls = []
+    original = ARROW_MODULE.enumerate_copies
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ARROW_MODULE, "enumerate_copies", counting)
+    assert arrow(complete_graph(4), TT3).verdict
+    assert len(calls) == 1
+
+
+def test_symmetry_table_built_only_for_present_copies():
+    """No copy of K8 or K10 in the host: Aut(K10) is never listed."""
+    g = sample_gnp(24, 0.5, 1)
+    for t in (8, 10):
+        start = time.perf_counter()
+        assert not arrow(g, transitive_tournament(t)).verdict
+        assert time.perf_counter() - start < 0.1
+
+
+def test_embed_budget_charges_symmetry_table():
+    with pytest.raises(BudgetExceededError):
+        arrow(complete_graph(12), TT4, embed_budget=50)
+
+
+def test_embed_budget_outcome_ignores_table_cache():
+    """The table's placements count on every call, so a borderline budget
+    has the same outcome with the table cached or not."""
+    g = complete_graph(6)
+
+    def fits(budget, cold):
+        if cold:
+            ARROW_MODULE._symmetry.cache_clear()
+        try:
+            arrow(g, TT4, embed_budget=budget)
+        except BudgetExceededError:
+            return False
+        return True
+
+    need = next(b for b in itertools.count(1) if fits(b, cold=True))
+    assert need > ARROW_MODULE._symmetry(TT4).placements
+    assert fits(need, cold=False) and not fits(need - 1, cold=False)
 
 
 def test_arrow_k4_and_k3():
@@ -131,12 +202,14 @@ def test_arrow_time_budget_chunking():
 
 
 def test_arrow_pinned_node_counts():
-    """Search sizes on fixed hard instances; they move only if the
-    decision rule or the propagation changes."""
-    assert arrow(complete_graph(8), TT4).nodes == 1222
-    assert arrow(complete_graph(9), TT4).nodes == 1574
+    """Search and pattern counts on fixed hard instances; the nodes move
+    only if the decision rule or the propagation changes."""
+    res = arrow(complete_graph(8), TT4)
+    assert (res.nodes, res.n_patterns) == (1222, 1680)
+    res = arrow(complete_graph(9), TT4)
+    assert (res.nodes, res.n_patterns) == (1574, 3024)
     res = arrow(sample_gnp(30, 0.5, 1), TT4)
-    assert (res.verdict, res.nodes) == (False, 6492)
+    assert (res.verdict, res.nodes, res.n_patterns) == (False, 6492, 9720)
 
 
 def test_arrow_time_budget_runs_one_search():
@@ -166,6 +239,12 @@ def test_contains_and_count_copies():
     assert not contains_copy(OrientedGraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)]), TT3)
     assert count_copies(transitive_tournament(4), TT3) == 4
     assert count_copies(transitive_tournament(3), directed_path(2)) == 3
+    rng = random.Random(31)
+    for _ in range(30):
+        d = random_oriented(rng, rng.randint(2, 7), 14)
+        for h in PATTERNS:
+            expected = sum(arcs <= set(d.arcs) for arcs in brute_copies(d.underlying(), h))
+            assert count_copies(d, h) == expected
 
 
 def test_ramsey_numbers():
