@@ -3,9 +3,9 @@ for small oriented patterns."""
 
 __version__ = "0.1.0"
 
-from .arrow import (ArrowResult, CopyPattern, arrow, arrow_exhaustive,
-                    contains_copy, count_copies, enumerate_copies,
-                    oriented_ramsey_number, verify_certificate)
+from .arrow import (ArrowResult, arrow, arrow_exhaustive, contains_copy,
+                    count_copies, enumerate_copies, oriented_ramsey_number,
+                    verify_certificate)
 from .constructions import (TreeParams, random_oriented_tree, rooted_product,
                             rooted_tt3, rooted_tt3_variants, tree_params)
 from .containers import (ContainerHypergraph, DegreeProfile, PowerSum,

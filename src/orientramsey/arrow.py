@@ -3,12 +3,13 @@
 An orientation of G contains a copy of H exactly when it realizes one of
 the "copy patterns" of H in G: a concrete set of G-edges together with
 one direction bit per edge such that the resulting arcs are isomorphic to
-H.  The solver enumerates every pattern once (each copy of H's underlying
-graph is found once and carries one pattern per orientation isomorphic to
-H) and then decides, by propagation-driven backtracking over edge
-directions, whether some orientation avoids them all.  A found orientation
-is the falsity certificate; exhaustion of the search proves the arrow
-relation.
+H.  A pattern is written in the kernels' encoding, a tuple of (e, bit)
+literals with e an index into G.edges().  The solver enumerates every
+pattern once (each copy of H's underlying graph is found once and carries
+one pattern per orientation isomorphic to H) and then decides, by
+propagation-driven backtracking over edge directions, whether some
+orientation avoids them all.  A found orientation is the falsity
+certificate; exhaustion of the search proves the arrow relation.
 """
 
 from __future__ import annotations
@@ -37,17 +38,6 @@ def _check_sizes(g, h):
         raise TooLargeError(
             f"host on {g.n} vertices exceeds the {SOLVER_MAX_VERTICES}-vertex "
             f"cap of the exact solver paths")
-
-
-class CopyPattern(NamedTuple):
-    """One forbidden orientation: host edges plus direction bits.
-
-    edges are host pairs (u, v) with u < v and bits[i] = 0 means the arc
-    runs u -> v.
-    """
-
-    edges: tuple
-    bits: tuple
 
 
 @dataclass(frozen=True)
@@ -153,12 +143,17 @@ def _embed(adj, n, back, cap, leaf, h=None):
             x[i] = low.bit_length() - 1
             place(i + 1, free ^ low)
 
-    place(0, (1 << n) - 1)
+    try:
+        place(0, (1 << n) - 1)
+    finally:
+        del place       # place's closure cell refers to place: break the cycle
     return steps
 
 
 def enumerate_copies(g, h, max_embeddings=DEFAULT_EMBED_BUDGET):
-    """All copy patterns of h in g, each exactly once.
+    """All copy patterns of h in g, each exactly once, as tuples of (e, bit)
+    literals: e indexes g.edges() (pairs (u, v) with u < v) and bit 0 means
+    the arc runs u -> v.
 
     Each copy of h's underlying graph is found once and yields one pattern
     per distinct orientation of it isomorphic to h.  The order is
@@ -169,41 +164,31 @@ def enumerate_copies(g, h, max_embeddings=DEFAULT_EMBED_BUDGET):
     if g.n < h.n:
         return []
     if h.e == 0:
-        return [CopyPattern((), ())]
+        return [()]
     back, _, edges, _ = _plan(h)
+    n = g.n
+    eid = [0] * (n * n)
+    for e, (u, v) in enumerate(g.edges()):
+        eid[u * n + v] = eid[v * n + u] = e
     out = []
     bits_by_flips = {}
 
     def emit(x, table):
-        pairs = tuple((x[j], x[i]) if x[j] < x[i] else (x[i], x[j]) for j, i in edges)
+        ids = [eid[x[j] * n + x[i]] for j, i in edges]
         flips = tuple(x[j] > x[i] for j, i in edges)
         if flips not in bits_by_flips:
             bits_by_flips[flips] = [tuple(map(xor, row, flips)) for row in table.rows]
-        out.extend([CopyPattern(pairs, bits) for bits in bits_by_flips[flips]])
+        out.extend([tuple(zip(ids, bits)) for bits in bits_by_flips[flips]])
 
-    _embed(g.rows, g.n, back, max_embeddings, emit, h)
+    _embed(g.rows, n, back, max_embeddings, emit, h)
     return out
 
 
-def _literals(edge_index, patterns):
-    """The kernels' encoding: one tuple of (edge, bit) literals per pattern."""
-    return [tuple(zip([edge_index[pair] for pair in pat.edges], pat.bits))
-            for pat in patterns]
-
-
-def _low_high_orientation(g):
-    return OrientedGraph.from_arcs(g.n, g.edges())
-
-
-def _certificate_from_assignment(g, covered, assignment):
-    arcs = []
-    value = dict(zip(covered, assignment))
-    for u, v in g.edges():
-        if (u, v) in value and value[(u, v)] == 1:
-            arcs.append((v, u))
-        else:
-            arcs.append((u, v))
-    return OrientedGraph.from_arcs(g.n, arcs)
+def _orient(g, bits):
+    """The orientation of g giving edge e of g.edges() the direction bits[e]
+    (0: low -> high)."""
+    return OrientedGraph.from_arcs(
+        g.n, [(v, u) if b else (u, v) for (u, v), b in zip(g.edges(), bits)])
 
 
 def arrow(g, h, node_budget=DEFAULT_NODE_BUDGET, time_budget=None,
@@ -220,22 +205,16 @@ def arrow(g, h, node_budget=DEFAULT_NODE_BUDGET, time_budget=None,
     search reads the clock every kernels.DEADLINE_STRIDE nodes.
     """
     _check_sizes(g, h)
-    if not h.is_acyclic():
-        return ArrowResult(False, _low_high_orientation(g), 0, 0)
-    if h.e == 0:
-        if g.n >= h.n:
-            return ArrowResult(True, None, 0, 0)
-        return ArrowResult(False, _low_high_orientation(g), 0, 0)
-
-    patterns = enumerate_copies(g, h, max_embeddings=embed_budget)
+    if h.e == 0 and g.n >= h.n:
+        return ArrowResult(True, None, 0, 0)
+    patterns = (enumerate_copies(g, h, max_embeddings=embed_budget)
+                if h.e and h.is_acyclic() else [])
     if not patterns:
-        return ArrowResult(False, _low_high_orientation(g), 0, 0)
+        return ArrowResult(False, _orient(g, [0] * g.e), 0, 0)
 
-    covered = sorted({pair for pat in patterns for pair in pat.edges})
-    literals = _literals({pair: i for i, pair in enumerate(covered)}, patterns)
     deadline = None if time_budget is None else time.monotonic() + time_budget
     status, assignment, nodes = kernels.dpll_orientation_search(
-        len(covered), literals, node_budget, deadline)
+        g.e, patterns, node_budget, deadline)
     if status == kernels.OUT_OF_BUDGET:
         raise BudgetExceededError(
             f"orientation search exceeded {node_budget} nodes", nodes=nodes)
@@ -244,8 +223,7 @@ def arrow(g, h, node_budget=DEFAULT_NODE_BUDGET, time_budget=None,
             f"orientation search exceeded {time_budget} s", nodes=nodes)
     if status == kernels.UNSAT:
         return ArrowResult(True, None, nodes, len(patterns))
-    certificate = _certificate_from_assignment(g, covered, assignment)
-    return ArrowResult(False, certificate, nodes, len(patterns))
+    return ArrowResult(False, _orient(g, assignment), nodes, len(patterns))
 
 
 @dataclass(frozen=True)
@@ -259,16 +237,11 @@ def arrow_exhaustive(g, h, max_edges=EXHAUSTIVE_MAX_EDGES):
     """Decide g -> h by scanning all 2^e(g) orientations (the oracle path)."""
     if g.e > max_edges:
         raise TooLargeError(f"exhaustive scan capped at {max_edges} edges")
-    patterns = enumerate_copies(g, h)
-    edge_list = g.edges()
-    literals = _literals({pair: i for i, pair in enumerate(edge_list)}, patterns)
-    count, first_free = kernels.exhaustive_scan(g.e, literals)
+    count, first_free = kernels.exhaustive_scan(g.e, enumerate_copies(g, h))
     if count == 0:
         return ExhaustiveResult(True, 0, None)
-    arcs = []
-    for i, (u, v) in enumerate(edge_list):
-        arcs.append((v, u) if first_free >> i & 1 else (u, v))
-    return ExhaustiveResult(False, count, OrientedGraph.from_arcs(g.n, arcs))
+    return ExhaustiveResult(False, count,
+                            _orient(g, [first_free >> e & 1 for e in range(g.e)]))
 
 
 def contains_copy(d, h):
@@ -306,7 +279,10 @@ def contains_copy(d, h):
             images[v] = -1
         return False
 
-    return place(0, 0)
+    try:
+        return place(0, 0)
+    finally:
+        del place       # as in _embed: break place's reference cycle
 
 
 def count_copies(d, h, max_embeddings=DEFAULT_EMBED_BUDGET):
@@ -314,10 +290,11 @@ def count_copies(d, h, max_embeddings=DEFAULT_EMBED_BUDGET):
     patterns of h in d's underlying graph that d realizes."""
     if h.e == 0:
         raise ValueError("copy counting needs a pattern with at least one arc")
+    g = d.underlying()
     arcs = set(d.arcs)
-    return sum(all(((u, v) if b == 0 else (v, u)) in arcs
-                   for (u, v), b in zip(pat.edges, pat.bits))
-               for pat in enumerate_copies(d.underlying(), h, max_embeddings))
+    flipped = [(v, u) in arcs for u, v in g.edges()]
+    return sum(all(flipped[e] == b for e, b in lits)
+               for lits in enumerate_copies(g, h, max_embeddings))
 
 
 def verify_certificate(g, h, cert):

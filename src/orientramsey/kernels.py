@@ -64,6 +64,9 @@ def dpll_orientation_search(n_edges, patterns, node_budget, deadline=None):
     immutable state saved with each decision.  Everything is integer
     arithmetic in fixed order, so results are deterministic.
 
+    An edge that is in no pattern is never decided and comes back 0, so
+    padding n_edges with such edges changes nothing else.
+
     `deadline` is a time.monotonic() value, checked every DEADLINE_STRIDE
     nodes.  Returns (status, assignment, nodes): assignment is a list with
     one bit per edge when status == SAT and None otherwise.
@@ -72,7 +75,7 @@ def dpll_orientation_search(n_edges, patterns, node_budget, deadline=None):
     match = _bitsets(n_edges, patterns)
     either = [m0 | m1 for m0, m1 in match]
     weight = [1 << min(max(2 * (12 - (k - j)), 0), 40) for j in range(k + 1)]
-    all_edges = (1 << n_edges) - 1
+    all_edges = sum(1 << e for e in range(n_edges) if either[e])
     alive = (1 << len(patterns)) - 1
     lev = [alive] + [0] * k
     assigned = ones = 0

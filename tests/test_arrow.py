@@ -1,3 +1,5 @@
+import gc
+import hashlib
 import importlib
 import itertools
 import random
@@ -8,7 +10,7 @@ import pytest
 from orientramsey import (BudgetExceededError, Graph, OrientedGraph,
                           TooLargeError, arrow, arrow_exhaustive, canonical,
                           complete_graph, contains_copy, count_copies,
-                          cycle_graph, directed_path, enumerate_copies,
+                          cycle_graph, directed_path, dumps, enumerate_copies,
                           in_out_star, nonisomorphic_oriented_graphs,
                           oriented_ramsey_number,
                           transitive_tournament, verify_certificate)
@@ -25,17 +27,21 @@ ARROW_MODULE = importlib.import_module("orientramsey.arrow")
 PATTERNS = [TT3, directed_path(3), directed_path(4), in_out_star(1, 2)]
 
 
+def _edges(pattern):
+    return tuple(e for e, _ in pattern)
+
+
 def test_enumerate_copies_triangle_host():
     pats = enumerate_copies(complete_graph(3), TT3)
-    assert len(pats) == 6                      # one per transitive orientation
-    assert len({p.edges for p in pats}) == 1   # a single triangle carries them
+    assert len(pats) == 6                       # one per transitive orientation
+    assert len({_edges(p) for p in pats}) == 1  # a single triangle carries them
     res = arrow_exhaustive(complete_graph(3), TT3)
-    assert res.free_count == 2                 # exactly the two cyclic triangles
+    assert res.free_count == 2                  # exactly the two cyclic triangles
 
 
 def test_enumerate_copies_counts_triangles_in_k4():
     pats = enumerate_copies(complete_graph(4), TT3)
-    assert len({p.edges for p in pats}) == 4
+    assert len({_edges(p) for p in pats}) == 4
     assert len(pats) == 24
 
 
@@ -58,12 +64,46 @@ def test_enumerate_copies_matches_brute_force():
     hosts = [sample_gnp(n, p, seed) for n in range(4, 9)
              for seed, p in ((1, 0.5), (2, 0.8))]
     for g in hosts:
+        edges = g.edges()
         for h in patterns + [transitive_tournament(5)]:
             pats = enumerate_copies(g, h)
             arc_sets = [frozenset((u, v) if b == 0 else (v, u)
-                                  for (u, v), b in zip(p.edges, p.bits)) for p in pats]
+                                  for (u, v), b in ((edges[e], b) for e, b in p))
+                        for p in pats]
             assert len(set(arc_sets)) == len(pats)
             assert set(arc_sets) == brute_copies(g, h)
+
+
+def test_enumerate_copies_arcless_pattern():
+    assert enumerate_copies(complete_graph(3), OrientedGraph.from_arcs(3, ())) == [()]
+    assert enumerate_copies(complete_graph(2), OrientedGraph.from_arcs(3, ())) == []
+
+
+def test_searches_leave_no_reference_cycles():
+    """The recursive placement searches must not keep their closures, and
+    the pattern list they reach, alive until a full collection."""
+    g = sample_gnp(40, 0.2, 1)
+
+    def over_budget(**budget):      # K12 -> TT4 needs 857 placements
+        try:
+            arrow(complete_graph(12), TT4, **budget)
+        except BudgetExceededError:
+            return
+        raise AssertionError(f"{budget} not enforced")
+
+    runs = [lambda: enumerate_copies(g, TT3), lambda: arrow(complete_graph(8), TT4),
+            lambda: over_budget(embed_budget=500), lambda: over_budget(node_budget=100),
+            lambda: contains_copy(transitive_tournament(6), TT4)]
+    for run in runs:      # warm the plan and symmetry caches
+        run()
+    gc.collect()
+    gc.disable()
+    try:
+        for run in runs:
+            run()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_arrow_calls_module_level_enumerate_copies(monkeypatch):
@@ -210,6 +250,8 @@ def test_arrow_pinned_node_counts():
     assert (res.nodes, res.n_patterns) == (1574, 3024)
     res = arrow(sample_gnp(30, 0.5, 1), TT4)
     assert (res.verdict, res.nodes, res.n_patterns) == (False, 6492, 9720)
+    assert hashlib.sha256(dumps(res.certificate).encode()).hexdigest() == \
+        "d275439b1679bd683d9f01158690b8b150adb3c7bcf8b490d61f65b8c3fabfb3"
 
 
 def test_arrow_time_budget_runs_one_search():

@@ -4,7 +4,7 @@ import numpy as np
 
 from orientramsey import (directed_path, in_out_star, transitive_tournament,
                           OrientedGraph, complete_graph)
-from orientramsey.arrow import _literals, enumerate_copies
+from orientramsey.arrow import enumerate_copies
 from orientramsey.experiments import sample_gnp
 from orientramsey import kernels
 
@@ -192,10 +192,17 @@ def _reference_scan(n_edges, literals):
 # ---------------------------------------------------------------------------
 
 def _instance(g, h):
-    """(covered edge count, literals) as arrow hands them to the kernel."""
-    patterns = enumerate_copies(g, h)
-    covered = sorted({pair for p in patterns for pair in p.edges})
-    return len(covered), _literals({pair: i for i, pair in enumerate(covered)}, patterns)
+    """(edge count, literals) as arrow hands them to the kernel: the
+    literals index g.edges(), covered by some pattern or not."""
+    return g.e, enumerate_copies(g, h)
+
+
+def _compact(literals):
+    """The covered edges in index order and the literals renumbered onto
+    them: the scalar reference decides every edge it is given."""
+    covered = sorted({e for lits in literals for e, _ in lits})
+    index = {e: i for i, e in enumerate(covered)}
+    return covered, [tuple((index[e], v) for e, v in lits) for lits in literals]
 
 
 def _assignment_is_free(assign, literals):
@@ -203,13 +210,22 @@ def _assignment_is_free(assign, literals):
 
 
 def _agree(n_edges, literals, node_budget=10**6):
-    status, assign, nodes = kernels.dpll_orientation_search(n_edges, literals, node_budget)
+    """The kernel on the host-indexed literals and on their compacted form
+    against the reference on the compacted form: same status and nodes, the
+    reference's assignment on the covered edges and 0 on the others."""
+    covered, compact = _compact(literals)
     ref_status, ref_assign, ref_nodes = _reference_dpll(
-        n_edges, *_reference_arrays(n_edges, literals), node_budget)
-    assert (status, nodes) == (int(ref_status), int(ref_nodes))
-    if status == kernels.SAT:
-        assert assign == ref_assign.tolist()
-        assert _assignment_is_free(assign, literals)
+        len(covered), *_reference_arrays(len(covered), compact), node_budget)
+    expected = [0] * n_edges
+    for e, v in zip(covered, ref_assign.tolist()):
+        expected[e] = v
+    for n, lits, want in ((n_edges, literals, expected),
+                          (len(covered), compact, ref_assign.tolist())):
+        status, assign, nodes = kernels.dpll_orientation_search(n, lits, node_budget)
+        assert (status, nodes) == (int(ref_status), int(ref_nodes))
+        if status == kernels.SAT:
+            assert assign == want
+            assert _assignment_is_free(assign, lits)
     return status
 
 
@@ -239,8 +255,7 @@ def test_scan_paths_agree():
     tt3 = transitive_tournament(3)
     for _ in range(25):
         g = random_graph(rng, rng.randint(3, 7), 12)
-        patterns = enumerate_copies(g, tt3)
-        literals = _literals({pair: i for i, pair in enumerate(g.edges())}, patterns)
+        literals = enumerate_copies(g, tt3)
         assert kernels.exhaustive_scan(g.e, literals) == _reference_scan(g.e, literals)
 
 
@@ -252,3 +267,18 @@ def test_dpll_budget_status():
     # the node budget cuts the search at the same node as the reference
     for budget in (1, 2, 5):
         assert _agree(n_edges, literals, budget) == kernels.OUT_OF_BUDGET
+
+
+def test_dpll_skips_edges_in_no_pattern():
+    """Edges in no pattern are never decided and come back 0: padding with
+    them, after or between the covered edges, leaves status and nodes."""
+    literals = [((0, 0), (1, 0), (2, 1)), ((0, 1), (1, 1), (2, 0))]
+    spread = [tuple((2 * e + 1, v) for e, v in lits) for lits in literals]
+    base = kernels.dpll_orientation_search(3, literals, 100)
+    assert base[0] == kernels.SAT and base[2] == 2
+    for n_edges, lits, covered in ((6, literals, (0, 1, 2)), (7, spread, (1, 3, 5))):
+        status, assign, nodes = kernels.dpll_orientation_search(n_edges, lits, 100)
+        assert (status, nodes) == (base[0], base[2])
+        assert [assign[e] for e in covered] == base[1]
+        assert [assign[e] for e in range(n_edges) if e not in covered] == \
+            [0] * (n_edges - 3)
