@@ -233,10 +233,10 @@ class ExhaustiveResult:
     certificate: OrientedGraph | None
 
 
-def arrow_exhaustive(g, h, max_edges=EXHAUSTIVE_MAX_EDGES):
+def arrow_exhaustive(g, h):
     """Decide g -> h by scanning all 2^e(g) orientations (the oracle path)."""
-    if g.e > max_edges:
-        raise TooLargeError(f"exhaustive scan capped at {max_edges} edges")
+    if g.e > EXHAUSTIVE_MAX_EDGES:
+        raise TooLargeError(f"exhaustive scan capped at {EXHAUSTIVE_MAX_EDGES} edges")
     count, first_free = kernels.exhaustive_scan(g.e, enumerate_copies(g, h))
     if count == 0:
         return ExhaustiveResult(True, 0, None)
@@ -285,7 +285,7 @@ def contains_copy(d, h):
         del place       # as in _embed: break place's reference cycle
 
 
-def count_copies(d, h, max_embeddings=DEFAULT_EMBED_BUDGET):
+def count_copies(d, h):
     """Number of distinct arc subsets of d isomorphic to h: the copy
     patterns of h in d's underlying graph that d realizes."""
     if h.e == 0:
@@ -294,7 +294,7 @@ def count_copies(d, h, max_embeddings=DEFAULT_EMBED_BUDGET):
     arcs = set(d.arcs)
     flipped = [(v, u) in arcs for u, v in g.edges()]
     return sum(all(flipped[e] == b for e, b in lits)
-               for lits in enumerate_copies(g, h, max_embeddings))
+               for lits in enumerate_copies(g, h))
 
 
 def verify_certificate(g, h, cert):

@@ -27,8 +27,8 @@ from .density import m as density_m
 from .density import m2 as density_m2
 from .errors import (BudgetExceededError, GraphFormatError,
                      HypothesisUnmetError, TooLargeError)
-from .experiments import (ExperimentPlan, estimate_arrow_probability,
-                          tree_threshold_probe)
+from .experiments import (ExperimentPlan, default_p_grid,
+                          estimate_arrow_probability, tree_threshold_probe)
 from .graphs import Graph, OrientedGraph, dumps, in_out_star, loads, make_family
 from .witness import chromatic_number, ghrv_orientation, k_core, star_free_extension
 
@@ -86,14 +86,17 @@ def _float_list(text):
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
 
 
-def _seconds(text):
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number of seconds, got {text!r}")
-    if not value >= 0:          # also rejects nan
-        raise argparse.ArgumentTypeError(f"expected a non-negative number, got {text!r}")
-    return value
+def _at_least(kind, low):
+    """argparse type: a `kind` (int or float) value of at least `low`."""
+    def parse(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {kind.__name__}, got {text!r}")
+        if not value >= low:        # also rejects nan
+            raise argparse.ArgumentTypeError(f"expected a number >= {low}, got {text!r}")
+        return value
+    return parse
 
 
 def _add_run_flags(parser, top_level):
@@ -105,7 +108,7 @@ def _add_run_flags(parser, top_level):
     parser.add_argument("--budget-nodes", type=int,
                         default=2_000_000 if top_level else miss,
                         help="search node budget per solver call")
-    parser.add_argument("--budget-seconds", type=_seconds,
+    parser.add_argument("--budget-seconds", type=_at_least(float, 0),
                         default=None if top_level else miss,
                         help="wall-clock budget per solver call")
     parser.add_argument("--out-dir",
@@ -180,7 +183,8 @@ def build_parser():
     p.add_argument("h_file")
     p.add_argument("--n-list", type=_int_list, required=True)
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--p-points", type=int, default=9)
+    p.add_argument("--p-points", type=_at_least(int, 1), default=9,
+                   help="points in each n's default p grid")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--csv", default="sweep.csv")
 
@@ -314,9 +318,10 @@ def _cmd_containers(args, tracker):
 
 def _cmd_sweep(args, tracker):
     h = _load(args.h_file, OrientedGraph)
+    grids = {n: default_p_grid(h, n, args.p_points) for n in args.n_list}
     plan = ExperimentPlan(pattern=h, pattern_name=os.path.basename(args.h_file),
                           n_list=args.n_list, trials=args.trials, seed=args.seed,
-                          node_budget=args.budget_nodes, jobs=args.jobs)
+                          p_grids=grids, node_budget=args.budget_nodes, jobs=args.jobs)
     sweep = estimate_arrow_probability(plan)
     rel = tracker.write_text(args.csv, sweep.csv_text())
     payload = {"command": "sweep", "csv": rel}

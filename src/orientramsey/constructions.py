@@ -67,7 +67,10 @@ def tree_params(t):
             best = max(best, 1 + walk(w))
         longest[v] = best
         return best
-    height = max(walk(v) for v in range(t.n))
+    try:
+        height = max(walk(v) for v in range(t.n))
+    finally:
+        del walk        # walk's closure cell refers to walk: break the cycle
     max_degree = max(under.degree(v) for v in range(t.n))
     return TreeParams(height, max_degree, max(height, max_degree))
 

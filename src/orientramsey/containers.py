@@ -85,15 +85,6 @@ class PowerSum:
             return PowerSum(self.base, ())
         return PowerSum(self.base, tuple((e, c * factor) for e, c in self.terms))
 
-    def times_power(self, coefficient, exponent):
-        """Multiply by coefficient * base**exponent (coefficient > 0)."""
-        coefficient = Fraction(coefficient)
-        exponent = Fraction(exponent)
-        if coefficient <= 0:
-            raise ValueError("power factor must be positive")
-        return PowerSum(self.base,
-                        tuple((e + exponent, c * coefficient) for e, c in self.terms))
-
     def exact_str(self):
         """Exact text form, e.g. '2/3*n^(1/2) + 5'."""
         if not self.terms:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .witness import k_core
 
 DEFAULT_TRIAL_NODE_BUDGET = 300_000
 WILSON_Z = 1.96
+P_GRID_SPREAD = 0.15      # half-width of the default grid, in the exponent of n
 
 
 def _gnp_from_seedseq(n, p, seedseq):
@@ -43,10 +45,11 @@ def sample_gnp(n, p, seed):
     return _gnp_from_seedseq(n, p, np.random.SeedSequence([seed, n, p_bits]))
 
 
-def wilson_interval(successes, trials, z=WILSON_Z):
+def wilson_interval(successes, trials):
     """95% Wilson score interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("needs at least one trial")
+    z = WILSON_Z
     phat = successes / trials
     denom = 1 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -70,14 +73,14 @@ def fit_log_slope(xs, ys):
     return slope, math.sqrt(sse / (k - 2) / sxx)
 
 
-def default_p_grid(h, n, points=9, spread=0.15):
-    """Geometric grid around n^(-1/m2(pattern)), widened by the spread in
-    the exponent, with an extra anchor at n^(-1/m(K4)) = n^(-2/3) when the
-    underlying pattern contains a triangle (both candidate exponents end
-    up bracketed)."""
+def default_p_grid(h, n, points=9):
+    """Geometric grid around n^(-1/m2(pattern)), widened by P_GRID_SPREAD
+    in the exponent, with an extra anchor at n^(-1/m(K4)) = n^(-2/3) when
+    the underlying pattern contains a triangle (both candidate exponents
+    end up bracketed)."""
     under = h.underlying()
     base_exp = float(1 / m2(under).value)
-    exps = np.linspace(-base_exp - spread, -base_exp + spread, points)
+    exps = np.linspace(-base_exp - P_GRID_SPREAD, -base_exp + P_GRID_SPREAD, points)
     grid = {float(n ** e) for e in exps}
     if under.has_triangle():
         grid.add(float(n ** (-2.0 / 3.0)))
@@ -109,22 +112,12 @@ class ExperimentPlan:
         return default_p_grid(self.pattern, n)
 
 
-@dataclass(frozen=True)
-class PointEstimate:
-    n: int
-    p: float
-    p_index: int
-    trials: int
-    successes: int
-    exhausted: int
+class _Estimate:
+    """Row statistics; trials that ran out of budget are left out."""
 
     @property
     def usable(self):
         return self.trials - self.exhausted
-
-    @property
-    def flagged(self):
-        return self.usable == 0 or self.exhausted * 5 > self.trials
 
     @property
     def p_hat(self):
@@ -135,20 +128,54 @@ class PointEstimate:
             return None, None
         return wilson_interval(self.successes, self.usable)
 
+    def csv_stats(self):
+        """The p_hat,ci_lo,ci_hi CSV fields, empty without usable trials."""
+        if not self.usable:
+            return ",,"
+        lo, hi = self.interval()
+        return f"{self.p_hat!r},{lo!r},{hi!r}"
 
-def _run_point(args):
-    (pattern_n, pattern_arcs, n, p, p_index, trials, seed, node_budget) = args
-    pattern = OrientedGraph.from_arcs(pattern_n, pattern_arcs)
-    successes = 0
-    exhausted = 0
+
+@dataclass(frozen=True)
+class PointEstimate(_Estimate):
+    n: int
+    p: float
+    p_index: int
+    trials: int
+    successes: int
+    exhausted: int
+
+    @property
+    def flagged(self):
+        return self.usable == 0 or self.exhausted * 5 > self.trials
+
+
+def _run_point(pattern, seed, trials, node_budget, core_k, point):
+    """(successes, exhausted, core_empty) over the trials at the grid point
+    (n, index, p).  Empty core_k-cores are counted only when core_k is
+    given, on the same hosts, so no host is drawn twice."""
+    n, index, p = point
+    successes = exhausted = core_empty = 0
     for trial in range(trials):
-        g = _gnp_from_seedseq(n, p, np.random.SeedSequence([seed, n, p_index, trial]))
+        g = _gnp_from_seedseq(n, p, np.random.SeedSequence([seed, n, index, trial]))
+        if core_k is not None and not k_core(g, core_k).core:
+            core_empty += 1
         try:
             if arrow(g, pattern, node_budget=node_budget).verdict:
                 successes += 1
         except BudgetExceededError:
             exhausted += 1
-    return successes, exhausted
+    return successes, exhausted, core_empty
+
+
+def _run_points(points, pattern, seed, trials, node_budget, core_k=None, jobs=1):
+    """_run_point over every point, in a pool of `jobs` processes when
+    jobs > 1; the seeded streams make the result the same either way."""
+    run = partial(_run_point, pattern, seed, trials, node_budget, core_k)
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(run, points))
+    return [run(point) for point in points]
 
 
 @dataclass(frozen=True)
@@ -163,13 +190,8 @@ class ThresholdSweep:
     def csv_text(self):
         lines = ["pattern,n,p,trials,successes,p_hat,ci_lo,ci_hi,exhausted"]
         for pt in self.points:
-            if pt.usable:
-                lo, hi = pt.interval()
-                stats = f"{pt.p_hat!r},{lo!r},{hi!r}"
-            else:
-                stats = ",,"
             lines.append(f"{self.pattern_name},{pt.n},{pt.p!r},{pt.trials},"
-                         f"{pt.successes},{stats},{pt.exhausted}")
+                         f"{pt.successes},{pt.csv_stats()},{pt.exhausted}")
         return "\n".join(lines) + "\n"
 
     def summary(self):
@@ -206,22 +228,13 @@ def crossing_estimate(points):
 
 def estimate_arrow_probability(plan):
     """Monte Carlo sweep of P(G(n,p) -> pattern) over the plan's grid."""
-    tasks = []
-    for n in plan.n_list:
-        for p_index, p in enumerate(plan.grid_for(n)):
-            tasks.append((plan.pattern.n, plan.pattern.arcs, n, p, p_index,
-                          plan.trials, plan.seed, plan.node_budget))
-    if plan.jobs > 1:
-        with ProcessPoolExecutor(max_workers=plan.jobs) as pool:
-            outcomes = list(pool.map(_run_point, tasks))
-    else:
-        outcomes = [_run_point(t) for t in tasks]
-    points = []
-    for (pat_n, _, n, p, p_index, trials, _, _), (succ, exh) in zip(tasks, outcomes):
-        points.append(PointEstimate(n, p, p_index, trials, succ, exh))
-    p_half = {}
-    for n in plan.n_list:
-        p_half[n] = crossing_estimate([pt for pt in points if pt.n == n])
+    grid = [(n, i, p) for n in plan.n_list for i, p in enumerate(plan.grid_for(n))]
+    outcomes = _run_points(grid, plan.pattern, plan.seed, plan.trials,
+                           plan.node_budget, jobs=plan.jobs)
+    points = [PointEstimate(n, p, i, plan.trials, successes, exhausted)
+              for (n, i, p), (successes, exhausted, _) in zip(grid, outcomes)]
+    p_half = {n: crossing_estimate([pt for pt in points if pt.n == n])
+              for n in plan.n_list}
     fit_ns = [n for n in plan.n_list if p_half[n] is not None]
     gamma = gamma_se = None
     if len(fit_ns) >= 2:
@@ -236,21 +249,13 @@ def estimate_arrow_probability(plan):
 # oriented-tree probe at p = b/n
 
 @dataclass(frozen=True)
-class ProbeRow:
+class ProbeRow(_Estimate):
     b: float
     p: float
     trials: int
     successes: int
     exhausted: int
     core_empty: int
-
-    @property
-    def usable(self):
-        return self.trials - self.exhausted
-
-    @property
-    def p_hat(self):
-        return self.successes / self.usable if self.usable else None
 
 
 @dataclass(frozen=True)
@@ -265,13 +270,8 @@ class ProbeTable:
         lines = ["pattern,n,b,p,trials,successes,p_hat,ci_lo,ci_hi,"
                  "exhausted,core_k,core_empty"]
         for r in self.rows:
-            if r.usable:
-                lo, hi = wilson_interval(r.successes, r.usable)
-                stats = f"{r.p_hat!r},{lo!r},{hi!r}"
-            else:
-                stats = ",,"
             lines.append(f"{self.pattern_name},{self.n},{r.b!r},{r.p!r},{r.trials},"
-                         f"{r.successes},{stats},{r.exhausted},{self.core_k},"
+                         f"{r.successes},{r.csv_stats()},{r.exhausted},{self.core_k},"
                          f"{r.core_empty}")
         return "\n".join(lines) + "\n"
 
@@ -281,26 +281,17 @@ def tree_threshold_probe(t, b_grid, n, trials, seed,
                          pattern_name="tree"):
     """Empirical P(G(n, b/n) -> t) per b, along with how often the
     a(t)-core is empty (the mechanism that kills the arrow relation in
-    the sparse regime)."""
+    the sparse regime).  Row i is the sweep's grid point (n, i, b/n)."""
     params = tree_params(t)
-    rows = []
-    for b_index, b in enumerate(sorted(b_grid)):
-        p = b / n
-        if not 0 <= p <= 1:
+    bs = sorted(b_grid)
+    for b in bs:
+        if not 0 <= b / n <= 1:
             raise ValueError(f"b = {b} gives p outside [0, 1]")
-        successes = exhausted = core_empty = 0
-        for trial in range(trials):
-            g = _gnp_from_seedseq(n, p, np.random.SeedSequence([seed, n, b_index, trial]))
-            if not k_core(g, params.a).core:
-                core_empty += 1
-            try:
-                if arrow(g, t, node_budget=node_budget).verdict:
-                    successes += 1
-            except BudgetExceededError:
-                exhausted += 1
-        rows.append(ProbeRow(float(b), float(p), trials, successes,
-                             exhausted, core_empty))
-    return ProbeTable(pattern_name, n, params.a, seed, tuple(rows))
+    grid = [(n, i, b / n) for i, b in enumerate(bs)]
+    outcomes = _run_points(grid, t, seed, trials, node_budget, core_k=params.a)
+    rows = tuple(ProbeRow(float(b), float(p), trials, *outcome)
+                 for b, (_, _, p), outcome in zip(bs, grid, outcomes))
+    return ProbeTable(pattern_name, n, params.a, seed, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -369,5 +360,8 @@ def disjoint_k4_packing(g, exact=False, node_budget=2_000_000):
             picked.pop()
         search(idx + 1, used, picked)
 
-    search(0, 0, [])
+    try:
+        search(0, 0, [])
+    finally:
+        del search      # search's closure cell refers to search: break the cycle
     return PackingResult(best[0], best[1], True)

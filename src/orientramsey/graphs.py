@@ -97,10 +97,6 @@ class Graph:
                 out.append((u, v))
         return out
 
-    def relabel(self, perm):
-        """Image under the vertex permutation perm (perm[old] = new)."""
-        return Graph.from_edges(self.n, [(perm[u], perm[v]) for u, v in self.edges()])
-
     def restricted(self, keep):
         """Same vertex set, keeping only edges inside the given vertex set."""
         mask = 0

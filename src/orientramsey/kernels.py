@@ -40,14 +40,18 @@ DEADLINE_STRIDE = 1024
 
 
 def _bitsets(n_edges, patterns):
-    """match[e][v]: the set of patterns with literal (e, v), as an int."""
-    rows = [[bytearray((len(patterns) + 7) >> 3) for _ in (0, 1)]
-            for _ in range(n_edges)]
+    """match[e][v]: the set of patterns with literal (e, v), as an int;
+    [0, 0] for an edge in no pattern, built without a row."""
+    size = (len(patterns) + 7) >> 3
+    rows = [None] * n_edges
     for p, lits in enumerate(patterns):
         byte, bit = p >> 3, 1 << (p & 7)
         for e, v in lits:
+            if rows[e] is None:
+                rows[e] = (bytearray(size), bytearray(size))
             rows[e][v][byte] |= bit
-    return [[int.from_bytes(r, "little") for r in pair] for pair in rows]
+    return [[int.from_bytes(r, "little") for r in pair] if pair else [0, 0]
+            for pair in rows]
 
 
 def dpll_orientation_search(n_edges, patterns, node_budget, deadline=None):

@@ -113,9 +113,11 @@ def _k_colorable(g, k, node_budget):
             colors[v] = -1
         return False
 
-    if go(0, -1):
-        return tuple(colors)
-    return None
+    try:
+        found = go(0, -1)
+    finally:
+        del go          # go's closure cell refers to go: break the cycle
+    return tuple(colors) if found else None
 
 
 def chromatic_number(g, exact=True, node_budget=5_000_000):
@@ -192,11 +194,11 @@ def k_core(g, k):
     return CoreDecomposition(k, tuple(order), frozenset(alive))
 
 
-def _star_violation(oriented, a, b, vertices=None):
+def _star_violation(oriented, a, b):
     """A vertex with >= a in-neighbours and >= b out-neighbours, or None."""
     indeg = oriented.in_degrees()
     outdeg = oriented.out_degrees()
-    for v in (range(oriented.n) if vertices is None else sorted(vertices)):
+    for v in range(oriented.n):
         if indeg[v] >= a and outdeg[v] >= b:
             return v
     return None

@@ -14,8 +14,8 @@ from orientramsey import (BudgetExceededError, Graph, OrientedGraph,
                           in_out_star, nonisomorphic_oriented_graphs,
                           oriented_ramsey_number,
                           transitive_tournament, verify_certificate)
-from orientramsey.constructions import rooted_tt3_variants
-from orientramsey.experiments import sample_gnp
+from orientramsey.constructions import rooted_tt3_variants, tree_params
+from orientramsey.experiments import disjoint_k4_packing, sample_gnp
 from orientramsey.witness import chromatic_number
 
 from conftest import (brute_arrow, brute_contains, brute_copies, random_graph,
@@ -80,8 +80,9 @@ def test_enumerate_copies_arcless_pattern():
 
 
 def test_searches_leave_no_reference_cycles():
-    """The recursive placement searches must not keep their closures, and
-    the pattern list they reach, alive until a full collection."""
+    """The recursive searches must not keep their closures, and what they
+    reach (the pattern list, for the placement searches), alive until a
+    full collection."""
     g = sample_gnp(40, 0.2, 1)
 
     def over_budget(**budget):      # K12 -> TT4 needs 857 placements
@@ -93,7 +94,10 @@ def test_searches_leave_no_reference_cycles():
 
     runs = [lambda: enumerate_copies(g, TT3), lambda: arrow(complete_graph(8), TT4),
             lambda: over_budget(embed_budget=500), lambda: over_budget(node_budget=100),
-            lambda: contains_copy(transitive_tournament(6), TT4)]
+            lambda: contains_copy(transitive_tournament(6), TT4),
+            lambda: chromatic_number(sample_gnp(14, 0.5, 3)),
+            lambda: disjoint_k4_packing(sample_gnp(12, 0.6, 1), exact=True),
+            lambda: tree_params(directed_path(5))]
     for run in runs:      # warm the plan and symmetry caches
         run()
     gc.collect()

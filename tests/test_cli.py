@@ -6,6 +6,7 @@ import pytest
 
 from orientramsey import dumps, loads, complete_graph, transitive_tournament
 from orientramsey.cli import run_command
+from orientramsey.experiments import default_p_grid
 
 
 def _write(path, obj):
@@ -177,6 +178,19 @@ def test_sweep_and_manifest_rerun(tmp_path):
     assert code == 0
     assert json.loads(out)["reproduced"] is True
     assert (run1 / "sweep.csv").read_bytes() == (run2 / "sweep.csv").read_bytes()
+
+
+def test_sweep_p_points_sets_grid_size(tmp_path):
+    tt3 = _write(tmp_path / "tt3.txt", transitive_tournament(3))
+    code, _ = run_command(["--out-dir", str(tmp_path), "sweep", tt3, "--n-list", "10",
+                           "--trials", "2", "--p-points", "3"])
+    assert code == 0
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+    assert len(rows) == len(default_p_grid(transitive_tournament(3), 10, 3)) == 4
+    with pytest.raises(SystemExit) as err:
+        run_command(["--out-dir", str(tmp_path), "sweep", tt3, "--n-list", "10",
+                     "--trials", "2", "--p-points", "0"])
+    assert err.value.code == 2
 
 
 def test_trees_probe_cli(tmp_path):

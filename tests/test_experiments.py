@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -192,6 +193,39 @@ def test_tree_probe_p3_matches_bipartiteness():
         if not is_bipartite(g):
             odd += 1
     assert table.rows[0].successes == odd
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_trial_engine_outputs_pinned():
+    """Probe and sweep CSVs are fixed by the seed, down to the last digit."""
+    probe = tree_threshold_probe(directed_path(3), [0.5, 1.5, 3.0, 5.0], 30, 40, seed=13)
+    assert _sha256(probe.csv_text()) == (
+        "3cf6da4edaa1ac252d1cd0214f60b54d5d22d72635b28956bd20f8d0f8a2334e")
+    starved = tree_threshold_probe(directed_path(4), [0.5, 2.0, 4.0], 40, 30, seed=11,
+                                   node_budget=5)
+    assert [(r.successes, r.exhausted, r.core_empty) for r in starved.rows] == [
+        (0, 6, 30), (0, 30, 30), (0, 30, 6)]
+    assert _sha256(starved.csv_text()) == (
+        "b3340cee4b301f97a0a8de88f2021543ef7e3541b9a1b636297a28df4432b2e0")
+    sweep = estimate_arrow_probability(ExperimentPlan(
+        pattern=TT3, pattern_name="tt3", n_list=(12, 20), trials=20, seed=7))
+    assert _sha256(sweep.csv_text()) == (
+        "909ffe10d54a91ab1652efb257b62af96b1a1983f783625be60ed21dfe417f26")
+
+
+def test_tree_probe_draws_the_sweep_hosts():
+    """A probe row at b is the sweep point at p = b/n with the same seed."""
+    p3, n, bs = directed_path(3), 24, (1, 2.5, 4)
+    probe = tree_threshold_probe(p3, bs, n, 40, seed=17)
+    sweep = estimate_arrow_probability(ExperimentPlan(
+        pattern=p3, pattern_name="p3", n_list=(n,), trials=40, seed=17,
+        p_grids={n: tuple(b / n for b in bs)}))
+    got = [(r.successes, r.exhausted) for r in probe.rows]
+    assert got == [(pt.successes, pt.exhausted) for pt in sweep.points]
+    assert got == [(5, 0), (37, 0), (40, 0)]
 
 
 def test_tree_probe_rejects_bad_b():
