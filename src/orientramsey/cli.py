@@ -185,7 +185,7 @@ def build_parser():
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--p-points", type=_at_least(int, 1), default=9,
                    help="points in each n's default p grid")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_at_least(int, 1), default=1)
     p.add_argument("--csv", default="sweep.csv")
 
     p = sub.add_parser("trees", help="oriented-tree threshold experiments")

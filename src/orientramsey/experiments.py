@@ -282,6 +282,9 @@ def tree_threshold_probe(t, b_grid, n, trials, seed,
     """Empirical P(G(n, b/n) -> t) per b, along with how often the
     a(t)-core is empty (the mechanism that kills the arrow relation in
     the sparse regime).  Row i is the sweep's grid point (n, i, b/n)."""
+    if n < 1 or trials < 1:
+        raise ValueError(f"probes need n >= 1 and trials >= 1, got n = {n}, "
+                         f"trials = {trials}")
     params = tree_params(t)
     bs = sorted(b_grid)
     for b in bs:

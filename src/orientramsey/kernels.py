@@ -8,7 +8,9 @@ pattern, so deciding the arrow relation is a SAT question over boolean
 edge-direction variables with one blocking clause per pattern.
 
 `dpll_orientation_search` answers it by backtracking search over Python
-big-int bitsets that hold one bit per pattern; `exhaustive_scan` checks
+big-int bitsets that hold one bit per pattern.  It caches each edge's
+decision score and rescores an edge only when one of its patterns moved
+up a level or died since the last decision.  `exhaustive_scan` checks
 all 2^n_edges orientations with numpy and serves as the oracle path.
 """
 
@@ -68,6 +70,14 @@ def dpll_orientation_search(n_edges, patterns, node_budget, deadline=None):
     immutable state saved with each decision.  Everything is integer
     arithmetic in fixed order, so results are deterministic.
 
+    Edge e's score, sum_j weight[j] * |either[e] & lev[j] & alive|, moves
+    only when a pattern holding e moves up a level or dies, and only an
+    assignment to one of that pattern's edges does that.  So each
+    assignment adds the alive patterns of its edge to `changed`, a decision
+    rescores just the unassigned edges that lie in a changed pattern and
+    reuses the cached score of the others, and each decision saves the
+    score list with its state; a backtrack restores that exact list.
+
     An edge that is in no pattern is never decided and comes back 0, so
     padding n_edges with such edges changes nothing else.
 
@@ -83,6 +93,8 @@ def dpll_orientation_search(n_edges, patterns, node_budget, deadline=None):
     alive = (1 << len(patterns)) - 1
     lev = [alive] + [0] * k
     assigned = ones = 0
+    scores = [0] * n_edges  # exact for every unassigned edge at each decision
+    changed = alive         # patterns moved or killed since the last decision
     stack = []          # decisions whose value 1 is untried: (edge, state before)
     nodes = 0
     # width-1 patterns are units from the start
@@ -98,6 +110,7 @@ def dpll_orientation_search(n_edges, patterns, node_budget, deadline=None):
                     conflict = True
                     break
                 continue
+            changed |= either[e] & alive   # each moves up a level or dies
             assigned |= 1 << e
             ones |= v << e
             hit = match[e][v] & alive
@@ -119,25 +132,33 @@ def dpll_orientation_search(n_edges, patterns, node_budget, deadline=None):
         if conflict:
             if not stack:
                 return UNSAT, None, nodes
-            e, (alive, saved, assigned, ones) = stack.pop()
+            e, (alive, saved, assigned, ones, scores) = stack.pop()
             lev = list(saved)
+            changed = 0
             queue = [(e, 1)]
         elif assigned == all_edges:
             return SAT, [ones >> e & 1 for e in range(n_edges)], nodes
         else:
             # decision: most-constrained unassigned edge (near-complete
-            # alive patterns weigh exponentially more)
+            # alive patterns weigh exponentially more); only an edge in a
+            # changed pattern is rescored
             live = [(weight[j], s) for j in range(k) if (s := lev[j] & alive)]
             best, best_score = -1, -1
             for e in iter_bits(all_edges & ~assigned):
-                mine = either[e] & alive
-                score = 0
-                if mine:
-                    for w, s in live:
-                        score += w * (mine & s).bit_count()
+                mine = either[e]
+                if mine & changed:
+                    mine &= alive
+                    score = 0
+                    if mine:
+                        for w, s in live:
+                            score += w * (mine & s).bit_count()
+                    scores[e] = score
+                else:
+                    score = scores[e]
                 if score > best_score:
                     best, best_score = e, score
-            stack.append((best, (alive, tuple(lev), assigned, ones)))
+            changed = 0
+            stack.append((best, (alive, tuple(lev), assigned, ones, scores[:])))
             queue = [(best, 0)]
         nodes += 1
         if nodes > node_budget:

@@ -130,6 +130,11 @@ def test_exit_code_usage(k4_and_tt3):
     with pytest.raises(SystemExit) as err:
         run_command(["--out-dir", str(tmp), "arrow", k4, tt3, "--budget-seconds", "-1"])
     assert err.value.code == 2
+    for jobs in ("0", "-3"):
+        with pytest.raises(SystemExit) as err:
+            run_command(["--out-dir", str(tmp), "sweep", tt3, "--n-list", "10",
+                         "--trials", "2", "--jobs", jobs])
+        assert err.value.code == 2
 
 
 def test_exit_code_budget(k4_and_tt3):
@@ -160,6 +165,14 @@ def test_exit_code_malformed(tmp_path):
         code, out = run_command(["rerun", str(path), "--out-dir", str(tmp_path / "re")])
         assert code == 4
         assert "error" in json.loads(out)
+    # empty tree probes fail before any trial runs, as empty sweeps do
+    p4 = _write(tmp_path / "p4.txt", __import__("orientramsey").directed_path(4))
+    for n, trials in (("0", "3"), ("10", "0")):
+        code, out = run_command(["--out-dir", str(tmp_path), "trees", "probe", p4,
+                                 "--b-grid", "1", "--n", n, "--trials", trials])
+        assert code == 4
+        assert "error" in json.loads(out)
+    assert not (tmp_path / "probe.csv").exists()
 
 
 def test_sweep_and_manifest_rerun(tmp_path):

@@ -232,8 +232,10 @@ def _agree(n_edges, literals, node_budget=10**6):
 def test_kernel_matches_reference():
     """Status, node count and SAT assignment equal the scalar reference's,
     on seeded small hosts (single-arc and two-arc patterns included, so
-    width-1 units and isolated pattern vertices are covered) and on TT3
-    sweep hosts at n = 40."""
+    width-1 units and isolated pattern vertices are covered), on TT3
+    sweep hosts at n = 40, and on width-6 TT4 hosts that backtrack, so
+    cached decision scores are restored from their snapshots
+    (G(30, 1/2, 3) backtracks past several decisions)."""
     rng = random.Random(99)
     patterns = [transitive_tournament(3), directed_path(3), directed_path(4),
                 in_out_star(1, 2), OrientedGraph.from_arcs(3, [(0, 1)]),
@@ -247,6 +249,12 @@ def test_kernel_matches_reference():
                 statuses.add(_agree(n_edges, literals))
     for seed, p in enumerate((0.12, 0.15, 0.18, 0.2, 0.22, 0.25)):
         statuses.add(_agree(*_instance(sample_gnp(40, p, seed), transitive_tournament(3))))
+    tt4 = transitive_tournament(4)
+    hosts = [complete_graph(7), sample_gnp(22, 0.55, 3), sample_gnp(30, 0.5, 3)]
+    hosts += [sample_gnp(n, p, s) for n, p in ((12, 0.7), (14, 0.6), (16, 0.5))
+              for s in range(3)]
+    for g in hosts:
+        statuses.add(_agree(*_instance(g, tt4)))
     assert statuses == {kernels.SAT, kernels.UNSAT}
 
 
@@ -266,6 +274,9 @@ def test_dpll_budget_status():
     assert nodes == 1
     # the node budget cuts the search at the same node as the reference
     for budget in (1, 2, 5):
+        assert _agree(n_edges, literals, budget) == kernels.OUT_OF_BUDGET
+    n_edges, literals = _instance(complete_graph(8), transitive_tournament(4))
+    for budget in (50, 300):
         assert _agree(n_edges, literals, budget) == kernels.OUT_OF_BUDGET
 
 
