@@ -246,13 +246,23 @@ def arrow_exhaustive(g, h):
 
 def contains_copy(d, h):
     """Direct subdigraph test: does the oriented graph d contain a copy
-    of h?  Independent of the pattern machinery; used to audit
-    certificates."""
+    of h?  Shares no code with the pattern machinery (not even its
+    placement order); used to audit certificates."""
     if h.e == 0:
         return d.n >= h.n
     if d.n < h.n:
         return False
-    order = _embedding_order(h.underlying())
+    # placement order: breadth-first through each component of h's
+    # underlying graph, from a vertex of highest degree; isolated vertices
+    # need no placement
+    under = h.underlying()
+    order = []
+    for root in sorted(range(h.n), key=under.degree, reverse=True):
+        if under.rows[root] and root not in order:
+            queue = [root]
+            for v in queue:     # the loop also reads what it appends
+                queue += [w for w in iter_bits(under.rows[v]) if w not in queue]
+            order += queue
     out_masks = [d.out_mask(v) for v in range(d.n)]
     in_masks = [d.in_mask(v) for v in range(d.n)]
     h_out = [h.out_mask(v) for v in range(h.n)]

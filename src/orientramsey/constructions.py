@@ -54,23 +54,13 @@ def tree_params(t):
     under = t.underlying()
     if t.n < 1 or under.e != t.n - 1 or not under.is_connected():
         raise ValueError("tree parameters need an oriented tree")
-    out = [[] for _ in range(t.n)]
-    for a, b in t.arcs:
-        out[a].append(b)
-    # longest directed path by memoized DFS; orientations of trees are acyclic
-    longest = [-1] * t.n
-    def walk(v):
-        if longest[v] >= 0:
-            return longest[v]
-        best = 0
-        for w in out[v]:
-            best = max(best, 1 + walk(w))
-        longest[v] = best
-        return best
-    try:
-        height = max(walk(v) for v in range(t.n))
-    finally:
-        del walk        # walk's closure cell refers to walk: break the cycle
+    # longest directed path: orientations of trees are acyclic, so relaxing
+    # the arcs in topological order of their tails settles every depth
+    rank = {v: i for i, v in enumerate(t.source_order())}
+    depth = [0] * t.n
+    for a, b in sorted(t.arcs, key=lambda arc: rank[arc[0]]):
+        depth[b] = max(depth[b], depth[a] + 1)
+    height = max(depth)
     max_degree = max(under.degree(v) for v in range(t.n))
     return TreeParams(height, max_degree, max(height, max_degree))
 

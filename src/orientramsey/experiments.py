@@ -322,14 +322,16 @@ def _k4_copies(g):
 
 def disjoint_k4_packing(g, exact=False, node_budget=2_000_000):
     """Vertex-disjoint K4 copies: greedy maximal packing by default (a
-    lower bound for the maximum), exact branch-and-bound for v <= 20."""
+    lower bound for the maximum), exact branch-and-bound for v <= 20.
+
+    The exact search branches on which copy to add next, in the order of
+    _k4_copies, so it is at most v/4 + 1 levels deep; node_budget bounds
+    its nodes (one per packing it extends)."""
     quads = _k4_copies(g)
+    masks = [sum(1 << v for v in quad) for quad in quads]
     chosen = []
     used = 0
-    for quad in quads:
-        mask = 0
-        for v in quad:
-            mask |= 1 << v
+    for quad, mask in zip(quads, masks):
         if not (mask & used):
             chosen.append(quad)
             used |= mask
@@ -341,27 +343,21 @@ def disjoint_k4_packing(g, exact=False, node_budget=2_000_000):
     best = [len(chosen), tuple(chosen)]
     nodes = [0]
 
-    def search(idx, used, picked):
+    def search(start, used, picked):
         nodes[0] += 1
         if nodes[0] > node_budget:
             raise BudgetExceededError("packing search exceeded its node budget")
+        if len(picked) > best[0]:
+            best[0] = len(picked)
+            best[1] = tuple(picked)
         free = g.n - used.bit_count()
-        if len(picked) + min(free // 4, len(quads) - idx) <= best[0]:
-            return
-        if idx == len(quads):
-            if len(picked) > best[0]:
-                best[0] = len(picked)
-                best[1] = tuple(picked)
-            return
-        quad = quads[idx]
-        mask = 0
-        for v in quad:
-            mask |= 1 << v
-        if not (mask & used):
-            picked.append(quad)
-            search(idx + 1, used | mask, picked)
-            picked.pop()
-        search(idx + 1, used, picked)
+        for j in range(start, len(quads)):
+            if len(picked) + min(free // 4, len(quads) - j) <= best[0]:
+                break
+            if not (masks[j] & used):
+                picked.append(quads[j])
+                search(j + 1, used | masks[j], picked)
+                picked.pop()
 
     try:
         search(0, 0, [])

@@ -9,6 +9,7 @@ share between workers.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -187,22 +188,28 @@ class OrientedGraph:
             deg[b] += 1
         return deg
 
-    def is_acyclic(self):
-        """True iff there is no directed cycle (repeated source elimination)."""
+    def source_order(self):
+        """Vertices in the order repeated source elimination removes them:
+        a topological order if acyclic, else without the vertices on or
+        after a directed cycle."""
         indeg = self.in_degrees()
         out = [[] for _ in range(self.n)]
         for a, b in self.arcs:
             out[a].append(b)
         stack = [v for v in range(self.n) if indeg[v] == 0]
-        removed = 0
+        order = []
         while stack:
             v = stack.pop()
-            removed += 1
+            order.append(v)
             for w in out[v]:
                 indeg[w] -= 1
                 if indeg[w] == 0:
                     stack.append(w)
-        return removed == self.n
+        return order
+
+    def is_acyclic(self):
+        """True iff there is no directed cycle (repeated source elimination)."""
+        return len(self.source_order()) == self.n
 
     def relabel(self, perm):
         root = None if self.root is None else perm[self.root]
@@ -411,117 +418,84 @@ def loads(text):
 
 # ---------------------------------------------------------------------------
 # exhaustive small-graph catalogues (used by the small-case checks)
+#
+# A graph on n vertices is coded by one digit per vertex pair (u, v), u < v,
+# digit j weighing base**j with the pairs in itertools.combinations order:
+# 0 for no edge, 1 for the edge or the arc u -> v, 2 for the arc v -> u.
+# flip[d] is digit d read from the other end of its pair, so flip = (0, 1)
+# codes graphs (base 2) and flip = (0, 2, 1) oriented graphs (base 3).  A
+# class is listed by its least code over all vertex relabelings.
+#
+# The classes are built by adding one vertex at a time (canonical
+# augmentation, McKay 1998): deleting vertex n - 1 from any graph on n
+# vertices leaves a graph on n - 1 vertices, isomorphic to some listed
+# class, so that class joined to the right neighbourhood of vertex n - 1 is
+# isomorphic to the graph.  Reducing every such candidate to its least code
+# therefore reaches every class on n vertices, each under one code.
 
-_GRAPH_CATALOGUE = {}
-_ORIENTED_CATALOGUE = {}
-
-
-def _pair_slots(n):
-    return list(itertools.combinations(range(n), 2))
-
-
-def _canonical_mask_values(masks, n):
-    """Elementwise minimum of each edge mask over all vertex relabelings."""
-    slots = _pair_slots(n)
-    slot_index = {pair: i for i, pair in enumerate(slots)}
-    canon = masks.copy()
-    for perm in itertools.permutations(range(n)):
-        value = np.zeros_like(masks)
-        for j, (u, v) in enumerate(slots):
-            pu, pv = perm[u], perm[v]
-            jp = slot_index[(pu, pv) if pu < pv else (pv, pu)]
-            value |= ((masks >> j) & 1) << jp
-        np.minimum(canon, value, out=canon)
-    return canon
+def _digits(codes, base, m):
+    """The m base-`base` digits of each code, digit j as contiguous row j."""
+    return codes // base ** np.arange(m, dtype=np.int64)[:, None] % base
 
 
-def nonisomorphic_graphs(n):
-    """All graphs on n vertices up to isomorphism (n <= 7).
-
-    For n <= 6 every edge mask is enumerated and reduced to its
-    relabeling-minimal form (vectorized over masks).  n = 7 is built by
-    augmentation: each 6-vertex representative is extended by one vertex
-    with every possible neighbourhood, then deduplicated the same way;
-    every 7-vertex graph restricts to some 6-vertex representative, so
-    nothing is missed.
-    """
-    if n in _GRAPH_CATALOGUE:
-        return _GRAPH_CATALOGUE[n]
-    if n > 7:
-        raise TooLargeError("graph catalogue capped at 7 vertices")
-    slots = _pair_slots(n)
-    m = len(slots)
-    if n <= 6:
-        masks = np.arange(1 << m, dtype=np.int64)
-    else:
-        slot_index = {pair: i for i, pair in enumerate(slots)}
-        base_slots = _pair_slots(n - 1)
-        candidates = set()
-        for g in nonisomorphic_graphs(n - 1):
-            base = 0
-            for j, (u, v) in enumerate(base_slots):
-                if g.has_edge(u, v):
-                    base |= 1 << slot_index[(u, v)]
-            for nb in range(1 << (n - 1)):
-                mask = base
-                for i in range(n - 1):
-                    if nb >> i & 1:
-                        mask |= 1 << slot_index[(i, n - 1)]
-                candidates.add(mask)
-        masks = np.array(sorted(candidates), dtype=np.int64)
-    reps = np.unique(_canonical_mask_values(masks, n))
-    out = []
-    for mask in reps.tolist():
-        edges = [slots[j] for j in range(m) if mask >> j & 1]
-        out.append(Graph.from_edges(n, edges))
-    _GRAPH_CATALOGUE[n] = out
-    return out
-
-
-def nonisomorphic_oriented_graphs(n):
-    """All oriented graphs on n vertices up to isomorphism (n <= 5).
-
-    Each vertex pair carries 0 (no arc), 1 (low->high) or 2 (high->low);
-    relabeling permutes pair slots and swaps 1<->2 where the pair order
-    flips.  Representatives are the minimal base-3 codes over all
-    relabelings.
-    """
-    if n in _ORIENTED_CATALOGUE:
-        return _ORIENTED_CATALOGUE[n]
-    if n > 5:
-        raise TooLargeError("oriented catalogue capped at 5 vertices")
-    slots = _pair_slots(n)
-    m = len(slots)
-    slot_index = {pair: i for i, pair in enumerate(slots)}
-    total = 3 ** m
-    codes = np.arange(total, dtype=np.int64)
-    digits = np.empty((total, m), dtype=np.int8)
-    for j in range(m):
-        digits[:, j] = (codes // (3 ** j)) % 3
-    flip = np.array([0, 2, 1], dtype=np.int8)
-    canon = codes.copy()
+@functools.cache
+def _least_codes(n, flip):
+    """Ascending least codes of the classes on n vertices."""
+    if n <= 1:
+        return np.zeros(1, dtype=np.int64)
+    base = len(flip)
+    slots = list(itertools.combinations(range(n), 2))
+    index = {pair: j for j, pair in enumerate(slots)}
+    weight = base ** np.arange(len(slots), dtype=np.int64)
+    old = [index[pair] for pair in itertools.combinations(range(n - 1), 2)]
+    new = [index[(u, n - 1)] for u in range(n - 1)]
+    head = weight[old] @ _digits(_least_codes(n - 1, flip), base, len(old))
+    tail = np.array(list(itertools.product(range(base), repeat=n - 1))) @ weight[new]
+    codes = (head[:, None] + tail).ravel()
+    digits = _digits(codes, base, len(slots))
+    flipped = np.array(flip)[digits]
+    least = codes.copy()
     for perm in itertools.permutations(range(n)):
         value = np.zeros_like(codes)
         for j, (u, v) in enumerate(slots):
             pu, pv = perm[u], perm[v]
             if pu < pv:
-                jp = slot_index[(pu, pv)]
-                d = digits[:, j]
+                value += digits[j] * weight[index[(pu, pv)]]
             else:
-                jp = slot_index[(pv, pu)]
-                d = flip[digits[:, j]]
-            value += d.astype(np.int64) * (3 ** jp)
-        np.minimum(canon, value, out=canon)
-    reps = np.unique(canon)
-    out = []
-    for code in reps.tolist():
-        arcs = []
-        for j, (u, v) in enumerate(slots):
-            d = (code // (3 ** j)) % 3
-            if d == 1:
-                arcs.append((u, v))
-            elif d == 2:
-                arcs.append((v, u))
-        out.append(OrientedGraph.from_arcs(n, arcs))
-    _ORIENTED_CATALOGUE[n] = out
-    return out
+                value += flipped[j] * weight[index[(pv, pu)]]
+        np.minimum(least, value, out=least)
+    return np.unique(least)
+
+
+def _class_pairs(n, flip):
+    """Each class's least code decoded to pairs: digit 1 on slot (u, v)
+    gives (u, v), digit 2 gives (v, u)."""
+    slots = list(itertools.combinations(range(n), 2))
+    rows = _digits(_least_codes(n, flip), len(flip), len(slots)).T.tolist()
+    return [[(u, v) if d == 1 else (v, u) for (u, v), d in zip(slots, row) if d]
+            for row in rows]
+
+
+@functools.cache
+def nonisomorphic_graphs(n):
+    """All graphs on n vertices up to isomorphism (n <= 7): for each class,
+    the graph of its least code (the edge mask, bit j set for an edge on
+    the j-th pair of itertools.combinations(range(n), 2)), by increasing
+    code.  Built from the classes on n - 1 vertices by adding vertex n - 1
+    with every neighbourhood (see the section comment)."""
+    if n > 7:
+        raise TooLargeError("graph catalogue capped at 7 vertices")
+    return [Graph.from_edges(n, edges) for edges in _class_pairs(n, (0, 1))]
+
+
+@functools.cache
+def nonisomorphic_oriented_graphs(n):
+    """All oriented graphs on n vertices up to isomorphism (n <= 5): for
+    each class, the oriented graph of its least base-3 code (digit j for
+    the j-th pair (u, v) of itertools.combinations(range(n), 2): 0 no arc,
+    1 u -> v, 2 v -> u), by increasing code.  Built from the classes on
+    n - 1 vertices by adding vertex n - 1 with every in/out-neighbourhood
+    (see the section comment)."""
+    if n > 5:
+        raise TooLargeError("oriented catalogue capped at 5 vertices")
+    return [OrientedGraph.from_arcs(n, arcs) for arcs in _class_pairs(n, (0, 2, 1))]

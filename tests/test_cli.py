@@ -165,10 +165,13 @@ def test_exit_code_malformed(tmp_path):
         code, out = run_command(["rerun", str(path), "--out-dir", str(tmp_path / "re")])
         assert code == 4
         assert "error" in json.loads(out)
-    # empty tree probes fail before any trial runs, as empty sweeps do
-    p4 = _write(tmp_path / "p4.txt", __import__("orientramsey").directed_path(4))
-    for n, trials in (("0", "3"), ("10", "0")):
-        code, out = run_command(["--out-dir", str(tmp_path), "trees", "probe", p4,
+    # empty tree probes fail before any trial runs, as empty sweeps do; a
+    # 1,000-vertex directed path fails the solver's 10-vertex pattern cap
+    paths = [_write(tmp_path / f"p{t}.txt", __import__("orientramsey").directed_path(t))
+             for t in (4, 1000)]
+    for path, n, trials in ((paths[0], "0", "3"), (paths[0], "10", "0"),
+                            (paths[1], "10", "1")):
+        code, out = run_command(["--out-dir", str(tmp_path), "trees", "probe", path,
                                  "--b-grid", "1", "--n", n, "--trials", trials])
         assert code == 4
         assert "error" in json.loads(out)

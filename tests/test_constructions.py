@@ -98,6 +98,8 @@ def test_tree_params_examples():
     assert (params.height, params.max_degree, params.a) == (1, 4, 4)
     single = tree_params(OrientedGraph.from_arcs(1, ()))
     assert (single.height, single.max_degree, single.a) == (0, 0, 0)
+    # the height pass is iterative: paths up to the type's vertex cap
+    assert tree_params(directed_path(4096)).height == 4095
 
 
 def test_tree_params_rejects_non_trees():

@@ -162,6 +162,18 @@ def test_packing_invariants():
                     assert g.has_edge(u, v)
 
 
+def test_exact_packing_on_dense_20_vertex_hosts():
+    """Hosts at the 20-vertex cap with 1,075-2,972 K4 copies: the exact
+    search stays shallow and beats the greedy packing."""
+    for p, seed in ((0.8, 0), (0.8, 2), (0.8, 4), (0.8, 5), (0.9, 0), (0.9, 1), (0.9, 5)):
+        g = sample_gnp(20, p, seed)
+        exact = disjoint_k4_packing(g, exact=True)
+        assert (exact.count, disjoint_k4_packing(g).count) == (5, 4)
+        assert sorted(v for quad in exact.copies for v in quad) == list(range(20))
+        assert all(g.has_edge(a, b) for quad in exact.copies
+                   for a in quad for b in quad if a < b)
+
+
 def test_tree_probe_subcritical_regime():
     table = tree_threshold_probe(directed_path(4), [0.5], 50, 200, seed=11)
     row = table.rows[0]

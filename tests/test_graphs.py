@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+import math
 import random
 
 import pytest
@@ -159,6 +162,38 @@ def test_graph_catalogue_counts():
 def test_oriented_catalogue_counts():
     assert [len(nonisomorphic_oriented_graphs(n)) for n in range(1, 6)] == \
         [1, 2, 7, 42, 582]
+
+
+def test_catalogue_digests():
+    """Every representative, in catalogue order, pinned by a sha256."""
+    graphs = [(g.n, g.rows) for n in range(8) for g in nonisomorphic_graphs(n)]
+    oriented = [(d.n, d.arcs) for n in range(6) for d in nonisomorphic_oriented_graphs(n)]
+    assert hashlib.sha256(repr(graphs).encode()).hexdigest() == \
+        "3b8f806cece45b62b1b2b16ed3c96b67521ca1954c4563be7d4e18fea9922b8e"
+    assert hashlib.sha256(repr(oriented).encode()).hexdigest() == \
+        "904a15a4f8b407b8c85be2f3227e59509497fef63a70b3e6c660461e38d37689"
+
+
+def _orbit(g):
+    """g's edge set (arc set, if oriented) under every vertex relabeling."""
+    if isinstance(g, OrientedGraph):
+        pairs, key = g.arcs, tuple
+    else:
+        pairs, key = g.edges(), sorted
+    return {tuple(sorted(tuple(key((p[u], p[v]))) for u, v in pairs))
+            for p in itertools.permutations(range(g.n))}
+
+
+@pytest.mark.parametrize("catalogue, n_max, base", [
+    (nonisomorphic_graphs, 6, 2), (nonisomorphic_oriented_graphs, 5, 3)])
+def test_catalogue_orbits_partition_labelled_graphs(catalogue, n_max, base):
+    """Brute force, independent of the catalogue code: the classes' orbits
+    are pairwise distinct (no class repeated) and their sizes n!/|Aut| sum
+    to the base**C(n,2) labelled graphs (no class missing)."""
+    for n in range(n_max + 1):
+        orbits = [_orbit(g) for g in catalogue(n)]
+        assert len({min(orbit) for orbit in orbits}) == len(orbits)
+        assert sum(map(len, orbits)) == base ** math.comb(n, 2)
 
 
 def test_catalogue_is_irredundant():

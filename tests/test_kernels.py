@@ -278,6 +278,13 @@ def test_dpll_budget_status():
     n_edges, literals = _instance(complete_graph(8), transitive_tournament(4))
     for budget in (50, 300):
         assert _agree(n_edges, literals, budget) == kernels.OUT_OF_BUDGET
+    # boundary cuts: N - 1 nodes stop the search, N finish it with the
+    # reference's status, nodes and assignment; a different decision order
+    # moves N (K7 -> TT4 takes 29 nodes, G(22, .55, 3) -> TT4 95)
+    for g, need in ((complete_graph(7), 29), (sample_gnp(22, 0.55, 3), 95)):
+        n_edges, literals = _instance(g, transitive_tournament(4))
+        assert _agree(n_edges, literals, need - 1) == kernels.OUT_OF_BUDGET
+        assert _agree(n_edges, literals, need) == kernels.SAT
 
 
 def test_dpll_skips_edges_in_no_pattern():
