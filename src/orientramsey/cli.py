@@ -72,11 +72,16 @@ def _load(path, want=None):
     return obj
 
 
-def _int_list(text):
+def _size_list(text):
+    """argparse type: one or more comma-separated distinct host sizes, each
+    at least 1."""
     try:
-        return tuple(int(x) for x in text.split(",") if x.strip() != "")
+        sizes = tuple(int(x) for x in text.split(",") if x.strip() != "")
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    if not sizes or any(n < 1 for n in sizes) or len(set(sizes)) != len(sizes):
+        raise argparse.ArgumentTypeError(f"expected distinct sizes >= 1, got {text!r}")
+    return sizes
 
 
 def _float_list(text):
@@ -181,7 +186,7 @@ def build_parser():
 
     p = sub.add_parser("sweep", help="Monte Carlo arrow-probability sweep over G(n,p)")
     p.add_argument("h_file")
-    p.add_argument("--n-list", type=_int_list, required=True)
+    p.add_argument("--n-list", type=_size_list, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--p-points", type=_at_least(int, 1), default=9,
                    help="points in each n's default p grid")

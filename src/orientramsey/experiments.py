@@ -1,19 +1,32 @@
 """Seeded random-graph experiments: arrow probabilities on G(n,p),
 threshold crossings with a fitted exponent, and disjoint-K4 packings.
 
-Determinism contract: every trial draws from a stream derived from
-(seed, n, grid-index, trial-index), so results are byte-identical no
-matter how trials are scheduled, including across worker processes.
-Trials whose solver call runs out of budget are counted separately and
-excluded from the estimates rather than imputed.
+Monte Carlo trials are coupled across the p-grid (Newman and Ziff, PRL
+85:4104, 2000): trial t at size n draws one uniform U_e per vertex pair
+from the stream keyed by (seed, n, t), and its host at p keeps the pairs
+with U_e < p, so one trial's hosts are nested in p.  Forcing the pattern
+is monotone under adding edges, so each trial bisects the sorted grid for
+its first forcing point and infers every other point's verdict.
+
+Determinism contract: a trial's draws depend only on (seed, n, trial
+index), and the per-point counts are sums over trials, so results are
+byte-identical no matter how trials are scheduled, including across
+worker processes.  A point is `exhausted` in a trial when its verdict is
+still unknown after inference: no point at or below it was decided true
+and no point at or above it was decided false, because the solver calls
+that would have settled it ran out of budget.  Exhausted trials are
+counted separately and excluded from the estimates rather than imputed.
+Without exhaustion, the verdict of each (trial, p) depends only on its
+host, not on the rest of the grid.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -29,11 +42,17 @@ WILSON_Z = 1.96
 P_GRID_SPREAD = 0.15      # half-width of the default grid, in the exponent of n
 
 
-def _gnp_from_seedseq(n, p, seedseq):
-    rng = np.random.Generator(np.random.PCG64(seedseq))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    hits = rng.random(len(pairs)) < p
-    return Graph.from_edges(n, [pair for pair, hit in zip(pairs, hits) if hit])
+def _pair_uniforms(n, key):
+    """One uniform in [0, 1) per vertex pair u < v, in lexicographic pair
+    order, from the stream seeded by `key`."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
+    return rng.random(n * (n - 1) // 2)
+
+
+def _host(n, uniforms, p):
+    """The graph on the vertex pairs whose uniform falls below p."""
+    pairs = ((u, v) for u in range(n) for v in range(u + 1, n))
+    return Graph.from_edges(n, itertools.compress(pairs, uniforms < p))
 
 
 def sample_gnp(n, p, seed):
@@ -42,7 +61,7 @@ def sample_gnp(n, p, seed):
     if not 0 <= p <= 1:
         raise ValueError("p must lie in [0, 1]")
     p_bits = int(np.float64(p).view(np.uint64))
-    return _gnp_from_seedseq(n, p, np.random.SeedSequence([seed, n, p_bits]))
+    return _host(n, _pair_uniforms(n, [seed, n, p_bits]), p)
 
 
 def wilson_interval(successes, trials):
@@ -101,6 +120,10 @@ class ExperimentPlan:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("plans need at least one trial per point")
+        if any(n < 1 for n in self.n_list):
+            raise ValueError(f"host sizes must be at least 1, got {self.n_list}")
+        if len(set(self.n_list)) != len(self.n_list):
+            raise ValueError(f"host sizes must not repeat, got {self.n_list}")
         if self.p_grids:
             for grid in self.p_grids.values():
                 if any(not 0 < p < 1 for p in grid):
@@ -150,32 +173,75 @@ class PointEstimate(_Estimate):
         return self.usable == 0 or self.exhausted * 5 > self.trials
 
 
-def _run_point(pattern, seed, trials, node_budget, core_k, point):
-    """(successes, exhausted, core_empty) over the trials at the grid point
-    (n, index, p).  Empty core_k-cores are counted only when core_k is
-    given, on the same hosts, so no host is drawn twice."""
-    n, index, p = point
-    successes = exhausted = core_empty = 0
-    for trial in range(trials):
-        g = _gnp_from_seedseq(n, p, np.random.SeedSequence([seed, n, index, trial]))
-        if core_k is not None and not k_core(g, core_k).core:
-            core_empty += 1
+def _run_trial(pattern, seed, node_budget, core_k, n, grid, trial):
+    """One trial at every point of the ascending grid: a tuple
+    (success, exhausted, core_empty, solver_calls) of 0/1 flags per point.
+
+    The trial's host at p keeps the pairs whose uniform, drawn once from
+    the stream (seed, n, trial), falls below p.  The hosts are nested, so
+    the trial bisects the grid over open intervals of undecided indices,
+    calling arrow at each midpoint: a true verdict leaves the lower half
+    to search, a false one the upper half, and a budget-exhausted call
+    both.  Point i then succeeds iff a decided point at or below it is
+    true, and is exhausted iff, besides, no decided point at or above it
+    is false.  Hosts are built only where a call or a core_k-core needs
+    them; empty cores are counted on every point's host when core_k is
+    given."""
+    uniforms = _pair_uniforms(n, [seed, n, trial])
+    host = cache(lambda i: _host(n, uniforms, grid[i]))
+    verdicts = {}           # decided index -> True, False or None (exhausted)
+    undecided = [(-1, len(grid))]
+    while undecided:
+        lo, hi = undecided.pop()
+        if hi - lo < 2:
+            continue
+        mid = (lo + hi) // 2
         try:
-            if arrow(g, pattern, node_budget=node_budget).verdict:
-                successes += 1
+            verdicts[mid] = arrow(host(mid), pattern, node_budget=node_budget).verdict
         except BudgetExceededError:
-            exhausted += 1
-    return successes, exhausted, core_empty
+            verdicts[mid] = None
+        if verdicts[mid] is not False:
+            undecided.append((lo, mid))
+        if verdicts[mid] is not True:
+            undecided.append((mid, hi))
+    first_true = min((i for i, v in verdicts.items() if v), default=len(grid))
+    last_false = max((i for i, v in verdicts.items() if v is False), default=-1)
+    return tuple((int(i >= first_true), int(last_false < i < first_true),
+                  int(core_k is not None and not k_core(host(i), core_k).core),
+                  int(i in verdicts))
+                 for i in range(len(grid)))
 
 
-def _run_points(points, pattern, seed, trials, node_budget, core_k=None, jobs=1):
-    """_run_point over every point, in a pool of `jobs` processes when
-    jobs > 1; the seeded streams make the result the same either way."""
-    run = partial(_run_point, pattern, seed, trials, node_budget, core_k)
+def _column_sums(outcomes):
+    """Per grid point, the element-wise sums of the points' count tuples
+    over several outcomes (each a sequence of one tuple per point)."""
+    return [tuple(map(sum, zip(*point))) for point in zip(*outcomes)]
+
+
+def _run_block(pattern, seed, node_budget, core_k, n, grid, trials):
+    """_run_trial's flags summed over a range of trials, per grid point."""
+    return _column_sums(_run_trial(pattern, seed, node_budget, core_k, n, grid, trial)
+                        for trial in trials)
+
+
+def _run_trials(grids, pattern, seed, trials, node_budget, core_k=None, jobs=1):
+    """For each n of `grids` (n -> ascending grid), the list of per-point
+    (successes, exhausted, core_empty, solver_calls) over `trials` trials.
+    With jobs > 1 a pool of `jobs` processes runs blocks of consecutive
+    trials of one n; the counts are sums, so the result is the same
+    either way."""
+    step = -(-trials // (4 * jobs))
+    blocks = [(n, grid, range(start, min(start + step, trials)))
+              for n, grid in grids.items() for start in range(0, trials, step)]
+    run = partial(_run_block, pattern, seed, node_budget, core_k)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run, points))
-    return [run(point) for point in points]
+            sums = list(pool.map(run, *zip(*blocks)))
+    else:
+        sums = [run(*block) for block in blocks]
+    return {n: _column_sums(block_sums for (m, _, _), block_sums in zip(blocks, sums)
+                            if m == n)
+            for n in grids}
 
 
 @dataclass(frozen=True)
@@ -186,6 +252,7 @@ class ThresholdSweep:
     p_half: dict          # n -> crossing estimate or None
     gamma: float          # fitted exponent of p_half ~ n^-gamma, or None
     gamma_stderr: float
+    solver_calls: int     # arrow calls made, over all trials and points
 
     def csv_text(self):
         lines = ["pattern,n,p,trials,successes,p_hat,ci_lo,ci_hi,exhausted"]
@@ -201,6 +268,7 @@ class ThresholdSweep:
             "p_half": {str(n): v for n, v in self.p_half.items()},
             "gamma": self.gamma,
             "gamma_stderr": self.gamma_stderr,
+            "solver_calls": self.solver_calls,
         }
 
 
@@ -228,11 +296,12 @@ def crossing_estimate(points):
 
 def estimate_arrow_probability(plan):
     """Monte Carlo sweep of P(G(n,p) -> pattern) over the plan's grid."""
-    grid = [(n, i, p) for n in plan.n_list for i, p in enumerate(plan.grid_for(n))]
-    outcomes = _run_points(grid, plan.pattern, plan.seed, plan.trials,
-                           plan.node_budget, jobs=plan.jobs)
+    grids = {n: plan.grid_for(n) for n in plan.n_list}
+    totals = _run_trials(grids, plan.pattern, plan.seed, plan.trials,
+                         plan.node_budget, jobs=plan.jobs)
     points = [PointEstimate(n, p, i, plan.trials, successes, exhausted)
-              for (n, i, p), (successes, exhausted, _) in zip(grid, outcomes)]
+              for n, grid in grids.items()
+              for i, (p, (successes, exhausted, _, _)) in enumerate(zip(grid, totals[n]))]
     p_half = {n: crossing_estimate([pt for pt in points if pt.n == n])
               for n in plan.n_list}
     fit_ns = [n for n in plan.n_list if p_half[n] is not None]
@@ -241,8 +310,9 @@ def estimate_arrow_probability(plan):
         slope, se = fit_log_slope([math.log(n) for n in fit_ns],
                                   [math.log(p_half[n]) for n in fit_ns])
         gamma, gamma_se = -slope, se
+    solver_calls = sum(calls for rows in totals.values() for *_, calls in rows)
     return ThresholdSweep(plan.pattern_name, plan.seed, tuple(points),
-                          p_half, gamma, gamma_se)
+                          p_half, gamma, gamma_se, solver_calls)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +351,9 @@ def tree_threshold_probe(t, b_grid, n, trials, seed,
                          pattern_name="tree"):
     """Empirical P(G(n, b/n) -> t) per b, along with how often the
     a(t)-core is empty (the mechanism that kills the arrow relation in
-    the sparse regime).  Row i is the sweep's grid point (n, i, b/n)."""
+    the sparse regime).  The rows share each trial's coupled hosts, as a
+    sweep's grid points do: the row at b counts what a sweep at the same
+    seed counts at p = b/n."""
     if n < 1 or trials < 1:
         raise ValueError(f"probes need n >= 1 and trials >= 1, got n = {n}, "
                          f"trials = {trials}")
@@ -290,10 +362,10 @@ def tree_threshold_probe(t, b_grid, n, trials, seed,
     for b in bs:
         if not 0 <= b / n <= 1:
             raise ValueError(f"b = {b} gives p outside [0, 1]")
-    grid = [(n, i, b / n) for i, b in enumerate(bs)]
-    outcomes = _run_points(grid, t, seed, trials, node_budget, core_k=params.a)
-    rows = tuple(ProbeRow(float(b), float(p), trials, *outcome)
-                 for b, (_, _, p), outcome in zip(bs, grid, outcomes))
+    grid = tuple(b / n for b in bs)
+    totals = _run_trials({n: grid}, t, seed, trials, node_budget, core_k=params.a)
+    rows = tuple(ProbeRow(float(b), float(p), trials, *outcome[:3])
+                 for b, p, outcome in zip(bs, grid, totals[n]))
     return ProbeTable(pattern_name, n, params.a, seed, rows)
 
 

@@ -135,6 +135,11 @@ def test_exit_code_usage(k4_and_tt3):
             run_command(["--out-dir", str(tmp), "sweep", tt3, "--n-list", "10",
                          "--trials", "2", "--jobs", jobs])
         assert err.value.code == 2
+    for n_list in ("0", "-3", "8,8", "12,12,16", ","):
+        with pytest.raises(SystemExit) as err:
+            run_command(["--out-dir", str(tmp), "sweep", tt3, "--n-list", n_list,
+                         "--trials", "2"])
+        assert err.value.code == 2
 
 
 def test_exit_code_budget(k4_and_tt3):
@@ -184,6 +189,9 @@ def test_sweep_and_manifest_rerun(tmp_path):
     code, out1 = run_command(["--out-dir", str(run1), "--seed", "5", "sweep",
                               tt3, "--n-list", "10,14", "--trials", "15"])
     assert code == 0
+    # two sizes, 10 grid points each, 15 trials: bisection calls the solver
+    # at most 4 times per trial and size
+    assert 0 < json.loads(out1)["solver_calls"] <= 2 * 15 * 4
     manifest = json.loads((run1 / "manifest.json").read_text())
     assert manifest["outputs"].keys() == {"sweep.csv"}
     assert manifest["seed"] == 5
@@ -217,6 +225,11 @@ def test_trees_probe_cli(tmp_path):
     lines = (tmp_path / "probe.csv").read_text().splitlines()
     assert len(lines) == 3
     assert lines[0].startswith("pattern,n,b,p,trials")
+    replay = tmp_path / "replay"
+    code, out = run_command(["rerun", str(tmp_path / "manifest.json"),
+                             "--out-dir", str(replay)])
+    assert code == 0 and json.loads(out)["reproduced"] is True
+    assert (replay / "probe.csv").read_bytes() == (tmp_path / "probe.csv").read_bytes()
 
 
 def test_console_entry_point(tmp_path):

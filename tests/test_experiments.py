@@ -5,14 +5,16 @@ import random
 import numpy as np
 import pytest
 
-from orientramsey import (Graph, complete_graph, directed_path,
+from orientramsey import (Graph, arrow, complete_graph, directed_path,
                           transitive_tournament)
-from orientramsey.experiments import (ExperimentPlan, crossing_estimate,
-                                      default_p_grid, disjoint_k4_packing,
+from orientramsey.errors import BudgetExceededError
+from orientramsey.experiments import (DEFAULT_TRIAL_NODE_BUDGET, ExperimentPlan,
+                                      crossing_estimate, default_p_grid,
+                                      disjoint_k4_packing,
                                       estimate_arrow_probability,
                                       fit_log_slope, sample_gnp,
                                       tree_threshold_probe, wilson_interval,
-                                      PointEstimate)
+                                      PointEstimate, _run_trials)
 
 from conftest import is_bipartite
 
@@ -86,14 +88,31 @@ def test_crossing_estimate_brackets():
 
 
 def test_sweep_is_deterministic_and_parallel_invariant():
-    plan = ExperimentPlan(pattern=TT3, pattern_name="tt3", n_list=(12,),
+    plan = ExperimentPlan(pattern=TT3, pattern_name="tt3", n_list=(12, 16),
                           trials=20, seed=7)
     sweep1 = estimate_arrow_probability(plan)
     sweep2 = estimate_arrow_probability(plan)
     assert sweep1.csv_text() == sweep2.csv_text()
-    par = ExperimentPlan(pattern=TT3, pattern_name="tt3", n_list=(12,),
+    par = ExperimentPlan(pattern=TT3, pattern_name="tt3", n_list=(12, 16),
                          trials=20, seed=7, jobs=2)
-    assert estimate_arrow_probability(par).csv_text() == sweep1.csv_text()
+    par_sweep = estimate_arrow_probability(par)
+    assert par_sweep.csv_text() == sweep1.csv_text()
+    assert par_sweep.summary() == sweep1.summary()
+
+
+def test_probe_is_parallel_invariant():
+    """The probe's engine, empty-core counts included, gives the same
+    counts on a pool of two processes as in one."""
+    grids = {30: tuple(b / 30 for b in (0.5, 1.5, 3.0, 5.0))}
+    args = (grids, directed_path(4), 13, 40, 5)
+    assert _run_trials(*args, core_k=3, jobs=2) == _run_trials(*args, core_k=3)
+
+
+def test_plan_rejects_bad_sizes():
+    for n_list in ((0,), (-3,), (8, 8), (12, 12, 16)):
+        with pytest.raises(ValueError):
+            ExperimentPlan(pattern=TT3, pattern_name="tt3", n_list=n_list,
+                           trials=2, seed=0)
 
 
 def test_directed_p3_threshold_exponent_near_one():
@@ -193,18 +212,99 @@ def test_tree_probe_monotone_in_b():
             assert lo_i <= hi_j
 
 
+def _coupled_hosts(n, grid, seed, trial):
+    """One trial's hosts along the grid, rebuilt with numpy alone: the pair
+    (u, v), u < v in lexicographic order, is kept at p when its uniform
+    from the stream [seed, n, trial] is below p."""
+    us, vs = np.triu_indices(n, 1)
+    draws = np.random.default_rng(np.random.SeedSequence([seed, n, trial])).random(len(us))
+    return [Graph.from_edges(n, zip(us[draws < p].tolist(), vs[draws < p].tolist()))
+            for p in grid]
+
+
 def test_tree_probe_p3_matches_bipartiteness():
     # every orientation of a non-bipartite graph has a directed P3 and a
-    # bipartite graph admits one without: exact agreement per sample
-    from orientramsey.experiments import _gnp_from_seedseq
+    # bipartite graph admits one without: exact agreement per sample, at
+    # the points the trial decided and at those it inferred
     n, trials, seed = 24, 80, 17
-    table = tree_threshold_probe(directed_path(3), [2.5], n, trials, seed=seed)
-    odd = 0
+    bs = (0.5, 1, 1.5, 2, 2.5, 3, 4)
+    table = tree_threshold_probe(directed_path(3), bs, n, trials, seed=seed)
+    odd = [0] * len(bs)
     for trial in range(trials):
-        g = _gnp_from_seedseq(n, 2.5 / n, np.random.SeedSequence([seed, n, 0, trial]))
-        if not is_bipartite(g):
-            odd += 1
-    assert table.rows[0].successes == odd
+        for i, g in enumerate(_coupled_hosts(n, [b / n for b in bs], seed, trial)):
+            odd[i] += not is_bipartite(g)
+    assert [r.successes for r in table.rows] == odd
+    assert odd == [1, 10, 43, 67, 78, 80, 80]
+    assert all(r.exhausted == 0 for r in table.rows)
+
+
+def _decide_every_point(pattern, n, grid, seed, trials, node_budget):
+    """Per-point (successes, exhausted) from one solver call at every grid
+    point of every trial, with a point counted as settled when a call at
+    or below it was true or a call at or above it was false."""
+    successes, exhausted = [0] * len(grid), [0] * len(grid)
+    for trial in range(trials):
+        verdicts = []
+        for g in _coupled_hosts(n, grid, seed, trial):
+            try:
+                verdicts.append(arrow(g, pattern, node_budget=node_budget).verdict)
+            except BudgetExceededError:
+                verdicts.append(None)
+        for i in range(len(grid)):
+            if any(v is True for v in verdicts[:i + 1]):
+                successes[i] += 1
+            elif not any(v is False for v in verdicts[i:]):
+                exhausted[i] += 1
+    return list(zip(successes, exhausted))
+
+
+def test_bisection_matches_deciding_every_point():
+    """Bisecting each trial's nested hosts gives the counts of a solver call
+    at every point; a starved budget exhausts some calls, and both sides
+    settle the same points by monotonicity."""
+    seed, trials = 7, 20
+    for budget in (DEFAULT_TRIAL_NODE_BUDGET, 12):
+        sweep = estimate_arrow_probability(ExperimentPlan(
+            pattern=TT3, pattern_name="tt3", n_list=(12, 20), trials=trials,
+            seed=seed, node_budget=budget))
+        exhausted = 0
+        for n in (12, 20):
+            grid = default_p_grid(TT3, n)
+            want = _decide_every_point(TT3, n, grid, seed, trials, budget)
+            assert [(pt.successes, pt.exhausted) for pt in sweep.points if pt.n == n] == want
+            exhausted += sum(e for _, e in want)
+        assert (exhausted > 0) == (budget == 12)
+        # bisection over 10 points: at most 4 calls per trial when none runs out
+        if budget == DEFAULT_TRIAL_NODE_BUDGET:
+            assert 2 * trials <= sweep.solver_calls <= 2 * trials * 4
+
+
+def test_sweep_successes_non_decreasing_along_the_grid():
+    """Each trial's hosts are nested in p, so with nothing exhausted the
+    success counts never fall along an n's grid."""
+    sweep = estimate_arrow_probability(ExperimentPlan(
+        pattern=TT3, pattern_name="tt3", n_list=(12, 20, 30), trials=30, seed=3))
+    for n in (12, 20, 30):
+        pts = [pt for pt in sweep.points if pt.n == n]
+        assert all(pt.exhausted == 0 for pt in pts)
+        assert all(a.successes <= b.successes for a, b in zip(pts, pts[1:]))
+    rows = tree_threshold_probe(directed_path(3), [0.5, 1, 1.5, 2, 3, 5], 30, 60,
+                                seed=13).rows
+    assert all(a.successes <= b.successes for a, b in zip(rows, rows[1:]))
+
+
+def test_sweep_counts_do_not_depend_on_the_grid():
+    """A sweep over every third grid point counts what the full grid
+    counts at those points."""
+    full_grids = {n: default_p_grid(TT3, n) for n in (16, 24)}
+    full = estimate_arrow_probability(ExperimentPlan(
+        pattern=TT3, pattern_name="tt3", n_list=(16, 24), trials=30, seed=11))
+    sparse = estimate_arrow_probability(ExperimentPlan(
+        pattern=TT3, pattern_name="tt3", n_list=(16, 24), trials=30, seed=11,
+        p_grids={n: grid[::3] for n, grid in full_grids.items()}))
+    want = [(pt.n, pt.p, pt.successes) for pt in full.points if pt.p_index % 3 == 0]
+    assert [(pt.n, pt.p, pt.successes) for pt in sparse.points] == want
+    assert sparse.solver_calls < full.solver_calls
 
 
 def _sha256(text):
@@ -215,17 +315,18 @@ def test_trial_engine_outputs_pinned():
     """Probe and sweep CSVs are fixed by the seed, down to the last digit."""
     probe = tree_threshold_probe(directed_path(3), [0.5, 1.5, 3.0, 5.0], 30, 40, seed=13)
     assert _sha256(probe.csv_text()) == (
-        "3cf6da4edaa1ac252d1cd0214f60b54d5d22d72635b28956bd20f8d0f8a2334e")
+        "e16c082ab49381e21ca3c3c3de9104f779671967f1ec63a19906a7fdb4077e27")
     starved = tree_threshold_probe(directed_path(4), [0.5, 2.0, 4.0], 40, 30, seed=11,
                                    node_budget=5)
     assert [(r.successes, r.exhausted, r.core_empty) for r in starved.rows] == [
-        (0, 6, 30), (0, 30, 30), (0, 30, 6)]
+        (0, 6, 30), (0, 29, 30), (0, 29, 1)]
     assert _sha256(starved.csv_text()) == (
-        "b3340cee4b301f97a0a8de88f2021543ef7e3541b9a1b636297a28df4432b2e0")
+        "00ba7b8fdc6c6626318fb9efe312f0cd3c910b2e172d66b70cef7de1746dfe95")
     sweep = estimate_arrow_probability(ExperimentPlan(
         pattern=TT3, pattern_name="tt3", n_list=(12, 20), trials=20, seed=7))
     assert _sha256(sweep.csv_text()) == (
-        "909ffe10d54a91ab1652efb257b62af96b1a1983f783625be60ed21dfe417f26")
+        "800da16c4e072c76d105b4e1b7bbc3d7488e5485a666292041c102267b6bf5f3")
+    assert sweep.solver_calls == 145
 
 
 def test_tree_probe_draws_the_sweep_hosts():
@@ -237,7 +338,7 @@ def test_tree_probe_draws_the_sweep_hosts():
         p_grids={n: tuple(b / n for b in bs)}))
     got = [(r.successes, r.exhausted) for r in probe.rows]
     assert got == [(pt.successes, pt.exhausted) for pt in sweep.points]
-    assert got == [(5, 0), (37, 0), (40, 0)]
+    assert got == [(3, 0), (40, 0), (40, 0)]
 
 
 def test_tree_probe_rejects_bad_b():
