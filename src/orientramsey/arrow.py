@@ -79,6 +79,7 @@ class _Symmetry(NamedTuple):
     above: tuple      # above[i]: positions whose images must lie below position i's
     rows: tuple       # distinct orientations of U isomorphic to h, one bit per plan edge
     placements: int   # placements spent listing Aut(U)
+    converse: bool    # rows closed under complement, i.e. h is isomorphic to its reverse
 
 
 @lru_cache(maxsize=32)
@@ -86,7 +87,9 @@ def _symmetry(h):
     """Aut(U), listed by embedding U into U, as enumerate_copies uses it:
     the Grochow-Kellis conditions (a position's image lies below the rest of
     its orbit under the stabiliser of the earlier positions) and one row of
-    edge bits per distinct image of h.  Capped at DEFAULT_EMBED_BUDGET."""
+    edge bits per distinct image of h.  Capped at DEFAULT_EMBED_BUDGET.
+    A pattern's bits are row ^ flips, so rows closed under complementing
+    every bit mean a pattern set closed under reversing every edge."""
     back, adj, edges, arcs = _plan(h)
     autos = []
     placements = _embed(adj, len(back), back, DEFAULT_EMBED_BUDGET,
@@ -100,7 +103,8 @@ def _symmetry(h):
     rows = dict.fromkeys(
         tuple(int((j, i) not in image) for j, i in edges)
         for image in ({(s[a], s[b]) for a, b in arcs} for s in autos))
-    return _Symmetry(tuple(map(tuple, above)), tuple(rows), placements)
+    converse = all(tuple(1 - b for b in row) in rows for row in rows)
+    return _Symmetry(tuple(map(tuple, above)), tuple(rows), placements, converse)
 
 
 def _embed(adj, n, back, cap, leaf, h=None):
@@ -214,7 +218,7 @@ def arrow(g, h, node_budget=DEFAULT_NODE_BUDGET, time_budget=None,
 
     deadline = None if time_budget is None else time.monotonic() + time_budget
     status, assignment, nodes = kernels.dpll_orientation_search(
-        g.e, patterns, node_budget, deadline)
+        g.e, patterns, node_budget, deadline, converse=_symmetry(h).converse)
     if status == kernels.OUT_OF_BUDGET:
         raise BudgetExceededError(
             f"orientation search exceeded {node_budget} nodes", nodes=nodes)

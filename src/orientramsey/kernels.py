@@ -10,8 +10,12 @@ edge-direction variables with one blocking clause per pattern.
 `dpll_orientation_search` answers it by backtracking search over Python
 big-int bitsets that hold one bit per pattern.  It caches each edge's
 decision score and rescores an edge only when one of its patterns moved
-up a level or died since the last decision.  `exhaustive_scan` checks
-all 2^n_edges orientations with numpy and serves as the oracle path.
+up a level or died since the last decision.  It tries first the value
+whose patterns weigh less, so the heavier side dies.  Told that the
+pattern set is closed under reversing every edge, it tries one value of
+the root decision only.  It stops with SAT once every pattern has a
+mismatched edge.  `exhaustive_scan` checks all 2^n_edges orientations
+with numpy and serves as the oracle path.
 """
 
 from __future__ import annotations
@@ -56,19 +60,34 @@ def _bitsets(n_edges, patterns):
             for pair in rows]
 
 
-def dpll_orientation_search(n_edges, patterns, node_budget, deadline=None):
+def dpll_orientation_search(n_edges, patterns, node_budget, deadline=None,
+                            converse=False):
     """Search for an edge orientation avoiding every forbidden pattern.
 
-    Every pattern has the same number k of literals and every edge index
-    lies in range(n_edges).  The state is `alive` (patterns with no
+    Every pattern has the same number k >= 1 of literals and every edge
+    index lies in range(n_edges).  The state is `alive` (patterns with no
     mismatched edge) and level sets lev[0..k], lev[j] holding the patterns
     with j matched edges.  Unit propagation: an alive pattern with k - 1
     matched edges forces its last edge to the opposite bit; an alive
     pattern with k matched edges is a conflict.  Decisions pick the
     unassigned edge with the highest near-completion score (lowest edge on
-    ties), value 0 first, and backtrack chronologically by restoring the
-    immutable state saved with each decision.  Everything is integer
-    arithmetic in fixed order, so results are deterministic.
+    ties) and backtrack chronologically by restoring the immutable state
+    saved with each decision.  Everything is integer arithmetic in fixed
+    order, so results are deterministic.
+
+    The decided edge's score splits as s0 + s1, s_v summing over the alive
+    patterns with literal (edge, v).  Value v advances those patterns and
+    kills the others, so the value with the smaller s_v goes first (0 on
+    a tie) and the near-complete patterns die.
+
+    converse=True promises that the pattern set is closed under reversing
+    every edge.  The reverse of a pattern-free orientation is then
+    pattern-free too, so both values of the root decision (nothing
+    assigned yet) lead to the same verdict and the second one is never
+    tried.
+
+    Once no pattern is alive, every completion is pattern-free and the
+    search returns SAT with the undecided edges at 0.
 
     Edge e's score, sum_j weight[j] * |either[e] & lev[j] & alive|, moves
     only when a pattern holding e moves up a level or dies, and only an
@@ -95,7 +114,7 @@ def dpll_orientation_search(n_edges, patterns, node_budget, deadline=None):
     assigned = ones = 0
     scores = [0] * n_edges  # exact for every unassigned edge at each decision
     changed = alive         # patterns moved or killed since the last decision
-    stack = []          # decisions whose value 1 is untried: (edge, state before)
+    stack = []          # decisions with a value untried: (edge, value, state before)
     nodes = 0
     # width-1 patterns are units from the start
     queue = [(lits[0][0], 1 - lits[0][1]) for lits in patterns] if k == 1 else []
@@ -132,11 +151,11 @@ def dpll_orientation_search(n_edges, patterns, node_budget, deadline=None):
         if conflict:
             if not stack:
                 return UNSAT, None, nodes
-            e, (alive, saved, assigned, ones, scores) = stack.pop()
+            e, v, (alive, saved, assigned, ones, scores) = stack.pop()
             lev = list(saved)
             changed = 0
-            queue = [(e, 1)]
-        elif assigned == all_edges:
+            queue = [(e, v)]
+        elif not alive:     # a conflict-free full assignment leaves none alive
             return SAT, [ones >> e & 1 for e in range(n_edges)], nodes
         else:
             # decision: most-constrained unassigned edge (near-complete
@@ -157,9 +176,15 @@ def dpll_orientation_search(n_edges, patterns, node_budget, deadline=None):
                     score = scores[e]
                 if score > best_score:
                     best, best_score = e, score
+            # the lighter value first: s1 = best_score - s0
+            s0 = 0
+            for w, s in live:
+                s0 += w * (match[best][0] & s).bit_count()
+            v = int(best_score < 2 * s0)
             changed = 0
-            stack.append((best, (alive, tuple(lev), assigned, ones, scores[:])))
-            queue = [(best, 0)]
+            if assigned or not converse:
+                stack.append((best, 1 - v, (alive, tuple(lev), assigned, ones, scores[:])))
+            queue = [(best, v)]
         nodes += 1
         if nodes > node_budget:
             return OUT_OF_BUDGET, None, nodes

@@ -11,20 +11,24 @@ from orientramsey import (BudgetExceededError, Graph, OrientedGraph,
                           TooLargeError, arrow, arrow_exhaustive, canonical,
                           complete_graph, contains_copy, count_copies,
                           cycle_graph, directed_path, dumps, enumerate_copies,
-                          in_out_star, nonisomorphic_oriented_graphs,
+                          in_out_star, kernels, nonisomorphic_oriented_graphs,
                           oriented_ramsey_number,
                           transitive_tournament, verify_certificate)
 from orientramsey.constructions import rooted_tt3_variants, tree_params
 from orientramsey.experiments import disjoint_k4_packing, sample_gnp
 from orientramsey.witness import chromatic_number
 
-from conftest import (brute_arrow, brute_contains, brute_copies, random_graph,
-                      random_oriented)
+from conftest import (all_orientations, brute_arrow, brute_contains, brute_copies,
+                      random_graph, random_oriented)
 
 TT3 = transitive_tournament(3)
 TT4 = transitive_tournament(4)
 ARROW_MODULE = importlib.import_module("orientramsey.arrow")
 PATTERNS = [TT3, directed_path(3), directed_path(4), in_out_star(1, 2)]
+# every acyclic oriented graph on 2-4 vertices with an arc, isolated
+# vertices and disconnected patterns included
+SMALL_ACYCLIC = [h for n in (2, 3, 4) for h in nonisomorphic_oriented_graphs(n)
+                 if h.e and h.is_acyclic()]
 
 
 def _edges(pattern):
@@ -55,23 +59,52 @@ def test_enumerate_copies_deterministic():
 
 
 def test_enumerate_copies_matches_brute_force():
-    """Each copy exactly once, against injective maps: every acyclic
-    oriented graph on 2-4 vertices with an arc (isolated vertices and
-    disconnected patterns included) and TT5, on seeded hosts."""
-    patterns = [h for n in (2, 3, 4) for h in nonisomorphic_oriented_graphs(n)
-                if h.e and h.is_acyclic()]
-    assert len(patterns) == 36
+    """Each copy exactly once, against injective maps: SMALL_ACYCLIC and
+    TT5, on seeded hosts."""
+    assert len(SMALL_ACYCLIC) == 36
     hosts = [sample_gnp(n, p, seed) for n in range(4, 9)
              for seed, p in ((1, 0.5), (2, 0.8))]
     for g in hosts:
         edges = g.edges()
-        for h in patterns + [transitive_tournament(5)]:
+        for h in SMALL_ACYCLIC + [transitive_tournament(5)]:
             pats = enumerate_copies(g, h)
             arc_sets = [frozenset((u, v) if b == 0 else (v, u)
                                   for (u, v), b in ((edges[e], b) for e, b in p))
                         for p in pats]
             assert len(set(arc_sets)) == len(pats)
             assert set(arc_sets) == brute_copies(g, h)
+
+
+def test_arrow_matches_orientation_oracle():
+    """Every SMALL_ACYCLIC pattern against 60 hosts drawn with seed 2160
+    (4-8 vertices, at most 10 edges): the verdict equals the one found by
+    running contains_copy on every orientation, which uses neither
+    enumerate_copies nor the kernel, and every false certificate checks.
+    This gates the kernel's converse cut, which 16 of the patterns take."""
+    rng = random.Random(2160)
+    hosts = [random_graph(rng, rng.randint(4, 8), 10) for _ in range(60)]
+    verdicts = set()
+    for g in hosts:
+        orientations = list(all_orientations(g))
+        for h in SMALL_ACYCLIC:
+            res = arrow(g, h)
+            assert res.verdict == all(contains_copy(d, h) for d in orientations)
+            assert res.verdict or verify_certificate(g, h, res.certificate)
+            verdicts.add(res.verdict)
+    assert verdicts == {False, True}
+
+
+def test_arrow_cuts_the_root_only_for_closed_patterns():
+    """The in-star in_out_star(2, 0) is not isomorphic to its reverse.  On
+    this host the root decision's first value has no star-free completion
+    and the second has, so cutting the root would make the verdict true."""
+    g = Graph.from_edges(8, [(0, 1), (0, 5), (0, 6), (2, 7), (3, 4), (3, 5), (4, 5)])
+    h = in_out_star(2, 0)
+    assert not ARROW_MODULE._symmetry(h).converse
+    cut = kernels.dpll_orientation_search(g.e, enumerate_copies(g, h), 100, converse=True)
+    assert cut[0] == kernels.UNSAT
+    res = arrow(g, h)
+    assert not res.verdict and verify_certificate(g, h, res.certificate)
 
 
 def test_enumerate_copies_arcless_pattern():
@@ -131,6 +164,14 @@ def test_symmetry_table_built_only_for_present_copies():
         start = time.perf_counter()
         assert not arrow(g, transitive_tournament(t)).verdict
         assert time.perf_counter() - start < 0.1
+
+
+def test_symmetry_converse_flag():
+    """converse: h's pattern set is closed under reversing every edge."""
+    for h in (TT3, TT4, directed_path(3), directed_path(4)):
+        assert ARROW_MODULE._symmetry(h).converse
+    assert not ARROW_MODULE._symmetry(in_out_star(1, 2)).converse
+    assert sum(ARROW_MODULE._symmetry(h).converse for h in SMALL_ACYCLIC) == 16
 
 
 def test_embed_budget_charges_symmetry_table():
@@ -249,24 +290,26 @@ def test_arrow_pinned_node_counts():
     """Search and pattern counts on fixed hard instances; the nodes move
     only if the decision rule or the propagation changes."""
     res = arrow(complete_graph(8), TT4)
-    assert (res.nodes, res.n_patterns) == (1222, 1680)
+    assert (res.nodes, res.n_patterns) == (611, 1680)
     res = arrow(complete_graph(9), TT4)
-    assert (res.nodes, res.n_patterns) == (1574, 3024)
+    assert (res.nodes, res.n_patterns) == (787, 3024)
     res = arrow(sample_gnp(30, 0.5, 1), TT4)
-    assert (res.verdict, res.nodes, res.n_patterns) == (False, 6492, 9720)
+    assert (res.verdict, res.nodes, res.n_patterns) == (False, 407, 9720)
+    assert verify_certificate(sample_gnp(30, 0.5, 1), TT4, res.certificate)
     assert hashlib.sha256(dumps(res.certificate).encode()).hexdigest() == \
-        "d275439b1679bd683d9f01158690b8b150adb3c7bcf8b490d61f65b8c3fabfb3"
+        "dc482ffa1f8293b2b727976226b221a3d341a5892b236d3eda5e86d85adc6ec2"
 
 
 def test_arrow_time_budget_runs_one_search():
     """A generous deadline leaves the search and its node count as they are."""
     res = arrow(sample_gnp(30, 0.5, 1), TT4, time_budget=60.0)
-    assert (res.verdict, res.nodes) == (False, 6492)
+    assert (res.verdict, res.nodes) == (False, 407)
 
 
 def test_arrow_expired_time_budget_stops_at_first_clock_read():
+    """K12 -> TT4 takes 3,383 nodes, past the first clock read at 1,024."""
     with pytest.raises(BudgetExceededError) as err:
-        arrow(sample_gnp(30, 0.5, 1), TT4, time_budget=0)
+        arrow(complete_graph(12), TT4, time_budget=0)
     assert err.value.nodes <= 1025
 
 

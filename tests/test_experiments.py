@@ -319,9 +319,9 @@ def test_trial_engine_outputs_pinned():
     starved = tree_threshold_probe(directed_path(4), [0.5, 2.0, 4.0], 40, 30, seed=11,
                                    node_budget=5)
     assert [(r.successes, r.exhausted, r.core_empty) for r in starved.rows] == [
-        (0, 6, 30), (0, 29, 30), (0, 29, 1)]
+        (0, 1, 30), (0, 29, 30), (0, 29, 1)]
     assert _sha256(starved.csv_text()) == (
-        "00ba7b8fdc6c6626318fb9efe312f0cd3c910b2e172d66b70cef7de1746dfe95")
+        "d17cb0fd4a7207b75fa00419a896471043c92650b2c4a364dc18aad161a4e18c")
     sweep = estimate_arrow_probability(ExperimentPlan(
         pattern=TT3, pattern_name="tt3", n_list=(12, 20), trials=20, seed=7))
     assert _sha256(sweep.csv_text()) == (

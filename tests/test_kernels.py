@@ -45,11 +45,14 @@ def _reference_arrays(n_edges, literals):
 
 
 def _reference_dpll(n_edges, pat_ptr, pat_edge, pat_bit,
-                    inc_ptr, inc_pat, inc_bit, node_budget):
+                    inc_ptr, inc_pat, inc_bit, node_budget, converse=False):
     """Scalar DPLL with per-pattern counters and trail-based undo.
 
     Same decision rule as the kernel: highest near-completion score, lowest
-    edge on ties, value 0 first, chronological backtracking.
+    edge on ties, then the value whose alive patterns weigh less (0 on a
+    tie), chronological backtracking.  With converse the root decision
+    gets no second value.  SAT as soon as every pattern has a mismatch,
+    the undecided edges at 0.
     """
     n_pat = pat_ptr.shape[0] - 1
     assign = np.full(n_edges, -1, np.int8)
@@ -68,6 +71,14 @@ def _reference_dpll(n_edges, pat_ptr, pat_edge, pat_bit,
     q_len = 0
     score = np.zeros(n_edges, np.int64)
     nodes = 0
+
+    def weight(p):
+        shift = 2 * (12 - unassigned[p])
+        if shift < 0:
+            shift = 0
+        if shift > 40:
+            shift = 40
+        return np.int64(1) << shift
 
     for p in range(n_pat):
         if unassigned[p] == 1:
@@ -140,20 +151,15 @@ def _reference_dpll(n_edges, pat_ptr, pat_edge, pat_bit,
                 n_dec -= 1
             continue
 
-        if trail_len == n_edges:
+        if not (mismatch == 0).any():     # a full assignment included
+            assign[assign < 0] = 0
             return kernels.SAT, assign, nodes
 
         for e in range(n_edges):
             score[e] = 0
         for p in range(n_pat):
             if mismatch[p] == 0:
-                u = unassigned[p]
-                shift = 2 * (12 - u)
-                if shift < 0:
-                    shift = 0
-                if shift > 40:
-                    shift = 40
-                w = np.int64(1) << shift
+                w = weight(p)
                 for t in range(pat_ptr[p], pat_ptr[p + 1]):
                     e = pat_edge[t]
                     if assign[e] < 0:
@@ -164,15 +170,22 @@ def _reference_dpll(n_edges, pat_ptr, pat_edge, pat_bit,
             if assign[e] < 0 and score[e] > best_score:
                 best = e
                 best_score = score[e]
+        # split the score by the bit the alive patterns want on `best`
+        side = [np.int64(0), np.int64(0)]
+        for k in range(inc_ptr[best], inc_ptr[best + 1]):
+            p = inc_pat[k]
+            if mismatch[p] == 0:
+                side[inc_bit[k]] += weight(p)
+        v = 1 if side[1] < side[0] else 0
         nodes += 1
         if nodes > node_budget:
             return kernels.OUT_OF_BUDGET, assign, nodes
         dec_edge[n_dec] = best
-        dec_val[n_dec] = 0
-        dec_flipped[n_dec] = 0
+        dec_val[n_dec] = v
+        dec_flipped[n_dec] = 1 if converse and trail_len == 0 else 0
         dec_trail[n_dec] = trail_len
         n_dec += 1
-        queue[0] = np.int64(best) << 1
+        queue[0] = (np.int64(best) << 1) | v
         q_len = 1
 
 
@@ -209,19 +222,31 @@ def _assignment_is_free(assign, literals):
     return not any(all(assign[e] == v for e, v in lits) for lits in literals)
 
 
-def _agree(n_edges, literals, node_budget=10**6):
+def _closed_under_reversal(literals):
+    """Does reversing every edge map the pattern set onto itself?"""
+    pats = {frozenset(lits) for lits in literals}
+    return all(frozenset((e, 1 - v) for e, v in lits) in pats for lits in literals)
+
+
+def _agree(n_edges, literals, node_budget=10**6, converse=None):
     """The kernel on the host-indexed literals and on their compacted form
     against the reference on the compacted form: same status and nodes, the
-    reference's assignment on the covered edges and 0 on the others."""
+    reference's assignment on the covered edges and 0 on the others.
+    converse defaults to whether the literal set is closed under reversal,
+    the flag arrow passes."""
+    if converse is None:
+        converse = _closed_under_reversal(literals)
     covered, compact = _compact(literals)
     ref_status, ref_assign, ref_nodes = _reference_dpll(
-        len(covered), *_reference_arrays(len(covered), compact), node_budget)
+        len(covered), *_reference_arrays(len(covered), compact), node_budget,
+        converse)
     expected = [0] * n_edges
     for e, v in zip(covered, ref_assign.tolist()):
         expected[e] = v
     for n, lits, want in ((n_edges, literals, expected),
                           (len(covered), compact, ref_assign.tolist())):
-        status, assign, nodes = kernels.dpll_orientation_search(n, lits, node_budget)
+        status, assign, nodes = kernels.dpll_orientation_search(
+            n, lits, node_budget, converse=converse)
         assert (status, nodes) == (int(ref_status), int(ref_nodes))
         if status == kernels.SAT:
             assert assign == want
@@ -241,21 +266,31 @@ def test_kernel_matches_reference():
                 in_out_star(1, 2), OrientedGraph.from_arcs(3, [(0, 1)]),
                 OrientedGraph.from_arcs(4, [(0, 1), (2, 3)])]
     statuses = set()
+    flags = set()
+
+    def agree(n_edges, literals):
+        """Both flag values on a set closed under reversal, False otherwise."""
+        closed = _closed_under_reversal(literals)
+        flags.add(closed)
+        for converse in {closed, False}:
+            statuses.add(_agree(n_edges, literals, converse=converse))
+
     for _ in range(40):
         g = random_graph(rng, rng.randint(3, 9), 14)
         for h in patterns:
             n_edges, literals = _instance(g, h)
             if literals:
-                statuses.add(_agree(n_edges, literals))
+                agree(n_edges, literals)
     for seed, p in enumerate((0.12, 0.15, 0.18, 0.2, 0.22, 0.25)):
-        statuses.add(_agree(*_instance(sample_gnp(40, p, seed), transitive_tournament(3))))
+        agree(*_instance(sample_gnp(40, p, seed), transitive_tournament(3)))
     tt4 = transitive_tournament(4)
     hosts = [complete_graph(7), sample_gnp(22, 0.55, 3), sample_gnp(30, 0.5, 3)]
     hosts += [sample_gnp(n, p, s) for n, p in ((12, 0.7), (14, 0.6), (16, 0.5))
               for s in range(3)]
     for g in hosts:
-        statuses.add(_agree(*_instance(g, tt4)))
+        agree(*_instance(g, tt4))
     assert statuses == {kernels.SAT, kernels.UNSAT}
+    assert flags == {False, True}
 
 
 def test_scan_paths_agree():
@@ -273,15 +308,16 @@ def test_dpll_budget_status():
     assert status == kernels.OUT_OF_BUDGET
     assert nodes == 1
     # the node budget cuts the search at the same node as the reference
-    for budget in (1, 2, 5):
+    # (the whole search takes 5 nodes)
+    for budget in (1, 2, 4):
         assert _agree(n_edges, literals, budget) == kernels.OUT_OF_BUDGET
     n_edges, literals = _instance(complete_graph(8), transitive_tournament(4))
     for budget in (50, 300):
         assert _agree(n_edges, literals, budget) == kernels.OUT_OF_BUDGET
     # boundary cuts: N - 1 nodes stop the search, N finish it with the
     # reference's status, nodes and assignment; a different decision order
-    # moves N (K7 -> TT4 takes 29 nodes, G(22, .55, 3) -> TT4 95)
-    for g, need in ((complete_graph(7), 29), (sample_gnp(22, 0.55, 3), 95)):
+    # moves N (K7 -> TT4 takes 14 nodes, G(22, .55, 3) -> TT4 67)
+    for g, need in ((complete_graph(7), 14), (sample_gnp(22, 0.55, 3), 67)):
         n_edges, literals = _instance(g, transitive_tournament(4))
         assert _agree(n_edges, literals, need - 1) == kernels.OUT_OF_BUDGET
         assert _agree(n_edges, literals, need) == kernels.SAT
@@ -300,3 +336,16 @@ def test_dpll_skips_edges_in_no_pattern():
         assert [assign[e] for e in covered] == base[1]
         assert [assign[e] for e in range(n_edges) if e not in covered] == \
             [0] * (n_edges - 3)
+
+
+def test_converse_cut_halves_true_verdicts():
+    """With converse=True the root decision takes one value: a true verdict
+    costs 1 + N_sub nodes instead of 2 + 2 N_sub."""
+    tt4 = transitive_tournament(4)
+    for n in (8, 9):
+        n_edges, literals = _instance(complete_graph(n), tt4)
+        assert _closed_under_reversal(literals)
+        full = kernels.dpll_orientation_search(n_edges, literals, 10**6)
+        cut = kernels.dpll_orientation_search(n_edges, literals, 10**6, converse=True)
+        assert full[0] == cut[0] == kernels.UNSAT
+        assert 2 * cut[2] == full[2]
